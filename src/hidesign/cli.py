@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional
+from typing import ContextManager, Optional, TextIO
 
 
 from . import bounds, designs, tightness
@@ -52,12 +53,17 @@ def _resolve_out(path: Optional[str]) -> Optional[Path]:
     return p
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
+def _sink(out: Optional[Path]) -> ContextManager[TextIO]:
+    """Standard output, or the file at ``out`` (parent directories created)."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        return nullcontext(sys.stdout)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return open(out, "w", encoding="utf-8")
+
+
+def _emit(text: str, out: Optional[Path]) -> None:
+    with _sink(out) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _fail(message: str) -> int:
@@ -77,12 +83,9 @@ def cmd_table(args) -> int:
         reports = bounds.bound_table(n_values, t_values)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.format == "csv":
-        _emit(bounds.table_csv(reports), _resolve_out(args.out))
-    elif args.format == "json":
-        _emit(bounds.table_json(reports), _resolve_out(args.out))
-    else:
-        _emit(bounds.table_text(reports, truncate=args.truncate), _resolve_out(args.out))
+    render = {"csv": bounds.table_csv, "json": bounds.table_json,
+              "text": lambda r: bounds.table_text(r, truncate=args.truncate)}[args.format]
+    _emit(render(reports), _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -111,15 +114,7 @@ def cmd_construct(args) -> int:
                 r = float(positive[idx - 1])
             ps = designs.lift_design(base, t, r, root_tol=args.tol)
         else:
-            params = {}
-            if args.m is not None:
-                params["m"] = args.m
-            if args.e is not None:
-                params["e"] = args.e
-            if args.j is not None:
-                params["j"] = args.j
-            if args.n is not None:
-                params["n"] = args.n
+            params = {k: getattr(args, k) for k in ("m", "e", "j", "n") if getattr(args, k) is not None}
             ps = designs.generate(args.kind, **params)
     except (InvalidPointSetError, ValueError, TypeError, OSError) as exc:
         return _fail(str(exc))
@@ -222,15 +217,15 @@ def cmd_embed(args) -> int:
             graphs = tightness.read_adjacency_json(Path(args.graphs).read_text(encoding="utf-8"))
         else:
             graphs = tightness.read_graph6(args.graphs)
-        records = []
-        for rec in tightness.scan_graph_corpus(graphs, b2, args.n):
-            records.append(rec)
+        scanned = feasible = 0
+        with _sink(_resolve_out(args.out)) as fh:
+            for rec in tightness.scan_graph_corpus(graphs, b2, args.n):
+                fh.write(json.dumps(rec.as_dict()) + "\n")
+                scanned += 1
+                feasible += rec.feasible
     except (GraphFormatError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    ndjson = "\n".join(json.dumps(r.as_dict()) for r in records)
-    _emit(ndjson if ndjson else "", _resolve_out(args.out))
-    feasible = sum(1 for r in records if r.feasible)
-    print(f"scanned {len(records)} graphs, {feasible} feasible", file=sys.stderr)
+    print(f"scanned {scanned} graphs, {feasible} feasible", file=sys.stderr)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .exactnum import RationalPoly
-from .orthopoly import KernelSpec, dim_harmonic, q_eval
+from .orthopoly import KernelSpec, _recurrence, _scale, dim_harmonic, q_eval
 
 __all__ = [
     "InvalidPointSetError",
@@ -42,20 +42,31 @@ __all__ = [
 NORM_TOL = 1e-12
 DISTINCT_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-9
+# Gram entries per row block: the work arrays of the distinctness check and the kernel sums
+_GRAM_BLOCK = 1 << 16
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 class InvalidPointSetError(ValueError):
-    """A point-set invariant (unit norm, distinctness, nonemptiness) failed."""
+    """A point-set invariant (finiteness, unit norm, distinctness, nonemptiness) failed."""
+
+
+def _gram_blocks(pts: np.ndarray):
+    """Yield (first row, Gram block of _GRAM_BLOCK // m rows, at least one)."""
+    step = max(1, _GRAM_BLOCK // len(pts))
+    for i in range(0, len(pts), step):
+        yield i, pts[i:i + step] @ pts.T
 
 
 @dataclass(frozen=True)
 class PointSet:
     """Finite list of unit vectors in R^dim with optional labels and provenance.
 
-    Invariants checked at construction: nonempty; every point has unit norm
-    within 1e-12; points are pairwise distinct (minimum distance > 1e-9).
-    The coordinate array is made read-only.
+    Invariants checked at construction: nonempty; every point finite with unit
+    norm within 1e-12; points pairwise distinct (distance > 1e-9), screened on
+    Gram row blocks (entries within rounding of 1) and confirmed by the exact
+    difference norm, as float64 2 - 2<x,y> cannot resolve distances below
+    about 1e-8.  No m x m array is formed.  The coordinates are made read-only.
     """
 
     dim: int
@@ -72,20 +83,23 @@ class PointSet:
                 f"points have {pts.shape[1]} coordinates, expected dim={self.dim}"
             )
         norms = np.linalg.norm(pts, axis=1)
-        worst = np.abs(norms - 1.0).max()
-        if worst > NORM_TOL:
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN and inf too
+        if len(bad):
             raise InvalidPointSetError(
-                f"point norms deviate from 1 by up to {worst:.3e} (tolerance {NORM_TOL:g})"
-            )
-        if len(pts) > 1:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            np.fill_diagonal(dist, np.inf)
-            dmin = dist.min()
-            if dmin <= DISTINCT_TOL:
-                raise InvalidPointSetError(
-                    f"points are not pairwise distinct (min distance {dmin:.3e})"
-                )
+                f"point {bad[0]} has norm {norms[bad[0]]:.17g}, not 1 within {NORM_TOL:g}")
+        # |x-y|^2 = |x|^2 + |y|^2 - 2<x,y> with unit norms: a pair closer than
+        # DISTINCT_TOL has a Gram entry above floor, after the dot's rounding
+        floor = 1 - 2 * NORM_TOL - DISTINCT_TOL ** 2 - 4 * (self.dim + 2) * np.finfo(float).eps
+        for i, block in _gram_blocks(pts):
+            np.fill_diagonal(block[:, i:], -np.inf)
+            if block.max() < floor:
+                continue
+            r, c = np.nonzero(block >= floor)
+            dist = np.linalg.norm(pts[i + r] - pts[c], axis=1)
+            k = np.argmin(dist)
+            if dist[k] <= DISTINCT_TOL:
+                raise InvalidPointSetError(f"points are not pairwise distinct (points {i + r[k]} "
+                                           f"and {c[k]} at distance {dist[k]:.3e})")
         if self.labels is not None and len(self.labels) != len(pts):
             raise InvalidPointSetError("label count does not match point count")
         pts.setflags(write=False)
@@ -176,9 +190,6 @@ class KernelCertificate:
     def passed(self) -> bool:
         return all(self.passes)
 
-    def residual_at(self, degree: int) -> float:
-        return self.residuals[self.degrees.index(degree)]
-
     def as_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -191,45 +202,39 @@ class KernelCertificate:
         }
 
 
-def _kernel_sum(gram: np.ndarray, n: int, t: int) -> float:
-    return float(q_eval(KernelSpec(n, t), gram).sum())
+def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
+    """Kernel sums at ascending degrees from one recurrence pass per Gram row
+    block up to the last degree: O(max(degrees) * m^2) time."""
+    degrees = tuple(degrees)
+    if not degrees or degrees[0] < 1:
+        raise ValueError("degree must be >= 1")
+    sums = dict.fromkeys(degrees, 0.0)
+    for _, block in _gram_blocks(X.points):
+        for k, vals in enumerate(_recurrence(X.dim, degrees[-1], block)):
+            if k in sums:
+                sums[k] += float(vals.sum())
+    raws = tuple(sums[k] * _scale(X.dim, k) for k in degrees)
+    residuals = tuple(abs(r) / (len(X) * dim_harmonic(X.dim, k)) for r, k in zip(raws, degrees))
+    return KernelCertificate(X.dim, degrees, raws, residuals, tol)
 
 
 def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
     """Check the single-degree kernel criterion for X at degree t."""
-    if t < 1:
-        raise ValueError("degree must be >= 1")
-    raw = _kernel_sum(X.gram(), X.dim, t)
-    residual = abs(raw) / (len(X) * dim_harmonic(X.dim, t))
-    return KernelCertificate(X.dim, (t,), (raw,), (residual,), tol)
+    return _certificate(X, [t], tol)
 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
-    """Check the kernel criterion at every degree 1..t (full design test)."""
-    if t < 1:
-        raise ValueError("degree must be >= 1")
-    gram = X.gram()
-    m = len(X)
-    raws, residuals = [], []
-    for j in range(1, t + 1):
-        raw = _kernel_sum(gram, X.dim, j)
-        raws.append(raw)
-        residuals.append(abs(raw) / (m * dim_harmonic(X.dim, j)))
-    return KernelCertificate(X.dim, tuple(range(1, t + 1)), tuple(raws), tuple(residuals), tol)
+    """Check the kernel criterion at every degree 1..t (full design test): one
+    recurrence pass per Gram row block gives all t sums in O(t * m^2) time,
+    with memory a few blocks of 65536 entries, not an m x m array."""
+    return _certificate(X, range(1, t + 1), tol)
 
 
 def harmonic_index_spectrum(X: PointSet, t_max: int, tol: float = DEFAULT_VERIFY_TOL) -> list[int]:
-    """Degrees t <= t_max at which X passes the kernel criterion."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    gram = X.gram()
-    m = len(X)
-    out = []
-    for t in range(1, t_max + 1):
-        raw = _kernel_sum(gram, X.dim, t)
-        if abs(raw) / (m * dim_harmonic(X.dim, t)) <= tol:
-            out.append(t)
-    return out
+    """Degrees t <= t_max at which X passes the kernel criterion: the passing
+    degrees of :func:`verify_spherical_design` at t_max, at the same cost."""
+    cert = _certificate(X, range(1, t_max + 1), tol)
+    return [k for k, ok in zip(cert.degrees, cert.passes) if ok]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, cos, pi
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -59,10 +60,6 @@ class KernelSpec:
             raise ValueError(f"degree must be >= 0, got {self.t}")
 
     @property
-    def lam(self) -> float:
-        return (self.n - 2) / 2
-
-    @property
     def dim(self) -> int:
         return dim_harmonic(self.n, self.t)
 
@@ -76,15 +73,28 @@ class MinimumReport:
     method: str
 
 
-def _cheb2(t: int, x: np.ndarray) -> np.ndarray:
-    # T_t via the three-term recurrence; valid for all real x
-    prev = np.ones_like(x)
-    if t == 0:
-        return prev
-    cur = x.copy()
-    for _ in range(2, t + 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+def _recurrence(n: int, t: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
+    Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0),
+    else the Gegenbauer C_k^lambda with lambda = (n-2)/2."""
+    lam = (n - 2) / 2
+    prev, cur = np.ones_like(x), x if n == 2 else 2 * lam * x
+    yield prev
+    if t:
+        yield cur
+    for k in range(2, t + 1):
+        if n == 2:
+            prev, cur = cur, 2 * x * cur - prev
+        else:
+            prev, cur = cur, (2 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
+        yield cur
+
+
+def _scale(n: int, k: int) -> float:
+    """Q_{n,k}(1) / P_k(1): 2 on the circle, else dim / C(k+n-3, k), exactly."""
+    if n == 2:
+        return 2.0 if k else 1.0
+    return dim_harmonic(n, k) / comb(k + n - 3, k)
 
 
 def q_eval(spec: KernelSpec, x):
@@ -96,22 +106,10 @@ def q_eval(spec: KernelSpec, x):
     polynomial and loses meaning as a kernel.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    n, t = spec.n, spec.t
-    if n == 2:
-        out = 2.0 * _cheb2(t, arr) if t >= 1 else np.ones_like(arr)
-    elif t == 0:
-        out = np.ones_like(arr)
-    else:
-        lam = (n - 2) / 2
-        prev = np.ones_like(arr)
-        cur = 2 * lam * arr
-        for k in range(2, t + 1):
-            prev, cur = cur, (2 * (k + lam - 1) * arr * cur - (k + 2 * lam - 2) * prev) / k
-        # Gegenbauer value at 1 is C(t + n - 3, t), exactly
-        out = cur * (dim_harmonic(n, t) / comb(t + n - 3, t))
-    return float(out[0]) if scalar else out
+    for last in _recurrence(spec.n, spec.t, np.atleast_1d(arr)):
+        pass
+    out = last * _scale(spec.n, spec.t)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _jacobi_offdiag(t: int, a: float) -> np.ndarray:

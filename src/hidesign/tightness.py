@@ -226,8 +226,9 @@ def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[np.ndarray]
     :class:`GraphFormatError` naming its 1-based line number.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from read_graph6(fh.readlines())
+        # a non-ASCII byte then fails its own line's encode below, by number
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
+            yield from read_graph6(fh)
         return
     for lineno, line in enumerate(source, start=1):
         text = line.strip()

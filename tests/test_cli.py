@@ -108,6 +108,13 @@ class TestConstructAndVerify:
         code, _, err = run(capsys, "verify", "--in", str(bad), "--t", "2")
         assert code == 2 and "norm" in err
 
+    def test_verify_nan_coordinate_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}))
+        code, out, err = run(capsys, "verify", "--in", str(bad), "--t", "2")
+        assert code == 2 and "point 1 has norm nan" in err
+        assert out == ""
+
     def test_verify_spherical(self, tmp_path, capsys):
         f = tmp_path / "pent.json"
         generate("regular_polygon", m=5).save(f)
@@ -202,8 +209,20 @@ class TestEmbed:
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
         path.write_text("C?\n\x01\x02\n")
-        code, _, err = run(capsys, "embed", "--graphs", str(path), "--b2", "2", "--n", "3")
+        code, out, err = run(capsys, "embed", "--graphs", str(path), "--b2", "2", "--n", "3")
         assert code == 2 and "line 2" in err
+        # the record scanned before the bad line was already written
+        assert [json.loads(line)["index"] for line in out.splitlines()] == [0]
+
+    def test_malformed_line_keeps_written_records_in_out_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"C?\n\xff\n")
+        out_file = tmp_path / "records.ndjson"
+        code, _, err = run(capsys, "embed", "--graphs", str(path), "--b2", "2", "--n", "3",
+                           "--out", str(out_file))
+        assert code == 2 and "line 2" in err
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [(r["index"], r["vertices"]) for r in records] == [(0, 4)]
 
     def test_bad_b2_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.g6"

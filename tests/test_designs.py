@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer
 
+from hidesign import designs
 from hidesign.designs import (
     FIVE_POINT_Z_MINPOLY,
     FIVE_POINT_Z_OCTICS,
@@ -22,7 +25,7 @@ from hidesign.designs import (
     verify_spherical_design,
 )
 from hidesign.exactnum import sturm_count_roots
-from hidesign.orthopoly import KernelSpec, q_roots
+from hidesign.orthopoly import KernelSpec, dim_harmonic, q_roots
 
 
 def sorted_products(ps: PointSet) -> np.ndarray:
@@ -73,6 +76,49 @@ class TestPointSet:
             PointSet.from_json("{not json")
         with pytest.raises(InvalidPointSetError, match="points"):
             PointSet.from_json(json.dumps({"dim": 2}))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coordinates(self, bad):
+        # nan > tol is False, so a NaN would slip past the norm and distinctness checks
+        text = json.dumps({"dim": 2, "points": [["1", "0"], ["0", bad], ["0", "1"]]})
+        with pytest.raises(InvalidPointSetError, match="point 1 has norm (nan|inf)"):
+            PointSet.from_json(text)
+
+
+def unit_pair(angle: float) -> np.ndarray:
+    return np.array([[1.0, 0.0], [math.cos(angle), math.sin(angle)]])
+
+
+def random_points(m: int, n: int, seed: int = 0) -> np.ndarray:
+    pts = np.random.default_rng(seed).normal(size=(m, n))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+# more points than one Gram row block holds rows for
+MULTI_BLOCK_M = 2 * math.isqrt(designs._GRAM_BLOCK)
+
+
+class TestDistinctness:
+    def test_close_pair_above_tolerance_accepted(self):
+        pts = unit_pair(2e-9)
+        # the Gram entry rounds to 1.0, so 2 - 2<x,y> alone would call them equal
+        assert pts[0] @ pts[1] == 1.0
+        assert len(PointSet(2, pts)) == 2
+
+    def test_close_pair_below_tolerance_rejected(self):
+        with pytest.raises(InvalidPointSetError, match="distinct"):
+            PointSet(2, unit_pair(5e-10))
+
+    def test_duplicate_in_different_row_blocks(self):
+        m = MULTI_BLOCK_M
+        assert designs._GRAM_BLOCK // m < m - 1  # rows 0 and m-1 lie in different blocks
+        pts = random_points(m, 3)
+        pts[m - 1] = pts[0]
+        with pytest.raises(InvalidPointSetError, match=f"distinct.*points 0 and {m - 1} "):
+            PointSet(3, pts)
+
+    def test_large_random_set_accepted(self):
+        assert len(PointSet(3, random_points(MULTI_BLOCK_M, 3))) == MULTI_BLOCK_M
 
 
 class TestGenerators:
@@ -173,6 +219,37 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_harmonic_index(generate("x0_plus"), 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_all_degree_sums_match_single_degree_and_scipy(self, n):
+        t = 6
+        X = PointSet(n, random_points(MULTI_BLOCK_M, n, seed=n))
+        cert = verify_spherical_design(X, t)
+        gram = np.clip(X.gram(), -1.0, 1.0)
+        m = len(X)
+        for k, raw in zip(range(1, t + 1), cert.raw_sums):
+            assert verify_harmonic_index(X, k).raw_sums == (raw,)
+            if n == 2:
+                ref = float((2 * np.cos(k * np.arccos(gram))).sum())
+            else:
+                scale = dim_harmonic(n, k) / math.comb(k + n - 3, k)
+                ref = float(eval_gegenbauer(k, (n - 2) / 2, gram).sum()) * scale
+            assert abs(raw - ref) <= 1e-12 * m * m * dim_harmonic(n, k)
+
+    def test_memory_stays_bounded_in_blocks(self):
+        # one m x m float64 array at m = 2000 is 32 MB
+        pts = random_points(2000, 4)
+        tracemalloc.start()
+        try:
+            X = PointSet(4, pts)
+            construct_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            verify_spherical_design(X, 4)
+            verify_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert construct_peak < 32e6
+        assert verify_peak < 32e6
+
     def test_certificate_dict(self):
         d = verify_harmonic_index(generate("x0_plus"), 4).as_dict()
         assert d["passed"] is True
@@ -191,6 +268,17 @@ class TestSpectrum:
 
     def test_cross_polytope_spectrum(self):
         assert 2 in harmonic_index_spectrum(generate("cross_polytope_half", n=3), 3)
+
+    @pytest.mark.parametrize("X", [
+        generate("icosahedron_half"),
+        generate("regular_polygon", m=7),
+        generate("cell600_half"),
+        PointSet(3, random_points(MULTI_BLOCK_M, 3), None, "random_points"),
+    ], ids=lambda X: X.source)
+    def test_spectrum_is_the_certificates_passing_degrees(self, X):
+        cert = verify_spherical_design(X, 20, tol=1e-8)
+        passing = [k for k, ok in zip(cert.degrees, cert.passes) if ok]
+        assert harmonic_index_spectrum(X, 20, tol=1e-8) == passing
 
 
 class TestLift:
