@@ -102,8 +102,10 @@ def format_bound(b: float, decimals: int = 2) -> str:
     ``decimals`` fractional digits and suffixed with "..".  When the kept
     digits are all zero, more digits are appended until a nonzero one
     appears, so 27.00401... prints as "27.004.." rather than hiding its
-    fractional part.
+    fractional part.  A negative ``decimals`` raises ValueError.
     """
+    if decimals < 0:
+        raise ValueError(f"decimals must be >= 0, got {decimals}")
     if abs(b - round(b)) < INTEGRALITY_TOL:
         return str(round(b))
     whole = f"{b:.14f}"

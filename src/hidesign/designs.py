@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .exactnum import RationalPoly
-from .orthopoly import KernelSpec, _recurrence, _scale, dim_harmonic, q_eval
+from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _recurrence, _scale, dim_harmonic, q_eval
 
 __all__ = [
     "InvalidPointSetError",
@@ -253,27 +253,25 @@ def inner_product_set(X: PointSet, merge_tol: float = 1e-8) -> InnerProductSet:
     Multiplicities count unordered pairs.  The set is flagged symmetric when
     every value has its negative present (within the merge tolerance).
     """
-    gram = X.gram()
-    iu = np.triu_indices(len(X), k=1)
-    vals = np.sort(gram[iu])
-    clusters: list[list[float]] = []
-    for v in vals:
-        if clusters and v - clusters[-1][-1] <= merge_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    centers = tuple(float(np.mean(c)) for c in clusters)
-    mults = tuple(len(c) for c in clusters)
+    vals = np.sort(X.gram()[np.triu_indices(len(X), k=1)])
+    # clusters are the runs of sorted values joined by gaps <= merge_tol; each
+    # center is its first value plus the mean offset from it, and offsets no
+    # wider than the cluster keep the rounding of long sums below its ulp
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > merge_tol)
+    counts = np.diff(starts, append=len(vals))
+    first = vals[starts]
+    c = first + np.add.reduceat(vals - np.repeat(first, counts), starts) / counts
     # -1 counts as self-paired: its mirror +1 cannot occur between distinct
-    # unit vectors, yet antipodally closed sets always produce -1
-    symmetric = all(
-        abs(c + 1) <= merge_tol or any(abs(c + other) <= merge_tol for other in centers)
-        for c in centers
-    )
+    # unit vectors, yet antipodally closed sets always produce -1.  The center
+    # nearest -c is one of the two that searchsorted puts around it.
+    j = np.searchsorted(c, -c)
+    near = np.minimum(np.abs(c + c[np.maximum(j - 1, 0)]), np.abs(c + c[np.minimum(j, len(c) - 1)]))
+    symmetric = bool(np.all((np.abs(c + 1) <= merge_tol) | (near <= merge_tol)))
+    centers, mults = tuple(c.tolist()), tuple(counts.tolist())
     return InnerProductSet(centers, mults, symmetric, merge_tol)
 
 
-def lift_design(base: PointSet, t: int, r: float, root_tol: float = 1e-9) -> PointSet:
+def lift_design(base: PointSet, t: int, r: float, root_tol: float = ROOT_RESIDUAL_TOL) -> PointSet:
     """Lift a spherical t-design on S^(n-2) to a harmonic-index set on S^(n-1).
 
     The lifted set is {(r, sqrt(1-r^2) x) : x in base} where r must be a root

@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import jv
 
 __all__ = [
     "dim_harmonic",
@@ -192,6 +191,7 @@ def bessel_j(alpha: float, z):
     Delegates to scipy's jv, which is accurate to well over 10 significant
     digits on the range used here (z up to ~60).
     """
+    from scipy.special import jv  # imported on use: only the Bessel functions need it
     if alpha < 0 or not np.isfinite(alpha):
         raise ValueError(f"order must be finite and >= 0, got {alpha}")
     arr = np.asarray(z, dtype=float)
@@ -206,8 +206,10 @@ def bessel_first_zero(alpha: float) -> float:
 
     J_alpha is positive on (0, j_{alpha,1}) and j_{alpha,1} < alpha +
     pi*(1+alpha) for the orders used here, so a sign-change scan from
-    z = alpha with step 1e-2 brackets the zero; bisection then refines it.
+    z = alpha with step 1e-2 brackets the zero; bisection then refines it to
+    1e-13, or to adjacent floats for zeros above 512, where one ulp exceeds that.
     """
+    from scipy.special import jv
     if alpha < 0 or not np.isfinite(alpha):
         raise ValueError(f"order must be finite and >= 0, got {alpha}")
     start = max(alpha, BESSEL_SCAN_STEP)
@@ -221,6 +223,8 @@ def bessel_first_zero(alpha: float) -> float:
     flo = vals[i]
     while hi - lo > 1e-13:
         m = (lo + hi) / 2
+        if m in (lo, hi):
+            break
         fm = jv(alpha, m)
         if np.sign(fm) == np.sign(flo):
             lo, flo = m, fm

@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-import networkx as nx
 import numpy as np
 
 from .bounds import fisher_bound, tight_inner_product
@@ -50,6 +49,8 @@ def _check_adjacency(adj) -> np.ndarray:
     a = np.asarray(adj, dtype=int)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphFormatError("adjacency matrix must be square")
+    if a.shape[0] < 2:
+        raise GraphFormatError(f"a 2-distance graph needs at least 2 vertices, got {a.shape[0]}")
     if not np.array_equal(a, a.T):
         raise GraphFormatError("adjacency matrix must be symmetric")
     if np.any(np.diag(a) != 0):
@@ -148,8 +149,6 @@ def es_matrices(g: TwoDistGraph) -> list[list[QuadExt]]:
     realizable.
     """
     m = g.vertex_count
-    if m < 2:
-        raise ValueError("need at least 2 vertices")
     one, zero = QuadExt(1), QuadExt(0)
     bm1 = g.b2 - 1
 
@@ -211,11 +210,36 @@ def scan_graph_corpus(graphs: Iterable, b2: QuadExt, n: int) -> Iterator[ScanRec
     for idx, item in enumerate(graphs):
         adj = item.adjacency if isinstance(item, TwoDistGraph) else item
         try:
-            g = TwoDistGraph(_check_adjacency(adj), b2)
+            g = TwoDistGraph(adj, b2)
         except GraphFormatError as exc:
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
         res = es_embeddable(g, n)
         yield ScanRecord(idx, g.vertex_count, res.rank, res.embeddable)
+
+
+def _decode_graph6(record: bytes) -> np.ndarray:
+    """Adjacency matrix of one graph6 record (McKay's format): N(n) as one
+    byte n+63 (n <= 62) or 126 and three bytes (n <= 258047), then the upper
+    triangle column by column, six bits per byte, each byte + 63."""
+    data = np.frombuffer(record, dtype=np.uint8).astype(np.int64) - 63
+    if data.min() < 0 or data.max() > 63:
+        raise GraphFormatError("each input character must be in range(63, 127)")
+    if data[0] < 63:
+        n, data = int(data[0]), data[1:]
+    elif data.size > 1 and data[1] == 63:
+        raise GraphFormatError("8-byte vertex counts (more than 258047 vertices) are not supported")
+    elif data.size < 4:
+        raise GraphFormatError("4-byte vertex count cut short")
+    else:
+        n, data = int(data[1] << 12 | data[2] << 6 | data[3]), data[4:]
+    pairs = n * (n - 1) // 2
+    if data.size != (pairs + 5) // 6:
+        raise GraphFormatError(f"Expected {pairs} bits but got {data.size * 6} in graph6")
+    bits = (data[:, None] >> np.arange(5, -1, -1) & 1).ravel()[:pairs]
+    j, i = np.tril_indices(n, -1)  # (0,1), (0,2), (1,2), (0,3), ...: column order
+    adj = np.zeros((n, n), dtype=int)
+    adj[i, j] = adj[j, i] = bits
+    return adj
 
 
 def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[np.ndarray]:
@@ -239,10 +263,10 @@ def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[np.ndarray]
             if not text:
                 continue
         try:
-            graph = nx.from_graph6_bytes(text.encode("ascii"))
-        except (nx.NetworkXError, ValueError, UnicodeEncodeError) as exc:
+            adj = _decode_graph6(text.encode("ascii"))
+        except (GraphFormatError, UnicodeEncodeError) as exc:
             raise GraphFormatError(f"line {lineno}: invalid graph6 record: {exc}") from exc
-        yield nx.to_numpy_array(graph, dtype=int, nodelist=sorted(graph.nodes()))
+        yield adj
 
 
 def read_adjacency_json(text: str) -> Iterator[np.ndarray]:

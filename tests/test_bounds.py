@@ -70,6 +70,11 @@ class TestFormatting:
         assert format_bound(27.00401608) == "27.004.."
         assert format_bound(24.00467695) == "24.004.."
 
+    def test_negative_decimals_rejected(self):
+        for b in (3.3333333, 22.0):
+            with pytest.raises(ValueError, match="decimals must be >= 0, got -1"):
+                format_bound(b, -1)
+
     def test_table_text_contains_grid(self):
         reports = bound_table([3, 4], [4, 6])
         text = table_text(reports, truncate=2)

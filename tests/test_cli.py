@@ -40,6 +40,11 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0] == "n,t,c,b,b_printed,integral"
 
+    def test_negative_truncate_exits_2(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "3..4", "--t", "4", "--truncate", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: decimals must be >= 0, got -3\n"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "table", "--n", "10..3", "--t", "4")
         assert code == 2
@@ -224,6 +229,14 @@ class TestEmbed:
         records = [json.loads(line) for line in out_file.read_text().splitlines()]
         assert [(r["index"], r["vertices"]) for r in records] == [(0, 4)]
 
+    def test_graph_below_two_vertices_named(self, tmp_path, capsys):
+        path = tmp_path / "small.g6"
+        path.write_text("C~\n@\n")
+        code, out, err = run(capsys, "embed", "--graphs", str(path), "--b2", "2", "--n", "3")
+        assert code == 2
+        assert err == "error: graph #1: a 2-distance graph needs at least 2 vertices, got 1\n"
+        assert [json.loads(line)["index"] for line in out.splitlines()] == [0]
+
     def test_bad_b2_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.g6"
         path.write_text("C?\n")
@@ -238,7 +251,28 @@ class TestEmbed:
         assert json.loads(out.strip())["rank"] == 1
 
 
+class TestParser:
+    def test_construct_tol_default_is_the_root_tolerance(self):
+        from hidesign.cli import build_parser
+        from hidesign.orthopoly import ROOT_RESIDUAL_TOL
+
+        args = build_parser().parse_args(["construct", "simplex"])
+        assert args.tol == ROOT_RESIDUAL_TOL
+
+    def test_generator_parameter_error_exits_2(self, capsys):
+        code, out, err = run(capsys, "construct", "regular-polygon", "--e", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'e'" in err
+
+
 class TestSubprocess:
+    def test_cli_import_loads_neither_networkx_nor_scipy_special(self):
+        code = ("import sys, hidesign.cli; "
+                "print(sorted(m for m in ('networkx', 'scipy.special') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hidesign", "table", "--n", "3", "--t", "4"],

@@ -1,7 +1,9 @@
 """Point sets, generators, kernel certificates, lifting, explicit bases."""
 
+import inspect
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from hidesign.designs import (
     verify_spherical_design,
 )
 from hidesign.exactnum import sturm_count_roots
-from hidesign.orthopoly import KernelSpec, dim_harmonic, q_roots
+from hidesign.orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, dim_harmonic, q_roots
 
 
 def sorted_products(ps: PointSet) -> np.ndarray:
@@ -294,6 +296,10 @@ class TestLift:
             sorted_products(lifted_minus), sorted_products(generate("x0_minus")), atol=1e-12
         )
 
+    def test_default_root_tolerance_is_the_module_constant(self):
+        default = inspect.signature(lift_design).parameters["root_tol"].default
+        assert default == ROOT_RESIDUAL_TOL == 1e-9
+
     def test_lift_verifies(self):
         pent = generate("regular_polygon", m=5)
         for r in q_roots(KernelSpec(3, 4)):
@@ -342,6 +348,64 @@ class TestInnerProducts:
         pair = PointSet(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         assert inner_product_set(pair).symmetric
         assert not inner_product_set(generate("simplex", n=3)).symmetric
+
+
+def loop_inner_product_set(X: PointSet, merge_tol: float = 1e-8):
+    """Reference clustering: a plain loop over the sorted products."""
+    vals = sorted_products(X)
+    clusters: list[list[float]] = []
+    for v in vals:
+        if clusters and v - clusters[-1][-1] <= merge_tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    centers = tuple(float(np.mean(c)) for c in clusters)
+    mults = tuple(len(c) for c in clusters)
+    symmetric = all(
+        abs(c + 1) <= merge_tol or any(abs(c + other) <= merge_tol for other in centers)
+        for c in centers
+    )
+    return centers, mults, symmetric
+
+
+class TestInnerProductsAgainstLoop:
+    def check(self, ps: PointSet, merge_tol: float = 1e-8):
+        centers, mults, symmetric = loop_inner_product_set(ps, merge_tol)
+        ips = inner_product_set(ps, merge_tol)
+        assert ips.multiplicities == mults
+        assert ips.symmetric == symmetric
+        np.testing.assert_allclose(ips.values, centers, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("regular_polygon", {"m": 7}), ("regular_polygon", {"m": 11}),
+        ("two_point_s1", {"e": 3, "j": 1}), ("cross_polytope_half", {"n": 5}),
+        ("simplex", {"n": 6}), ("icosahedron_half", {}), ("e8_half", {}),
+        ("cell600_half", {}), ("x0_plus", {}), ("x0_minus", {}),
+    ])
+    def test_library_designs(self, kind, params):
+        ps = generate(kind, **params)
+        self.check(ps)
+        self.check(ps.union_with_antipodes())
+        self.check(ps.with_flipped([0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_sets(self, seed):
+        pts = random_points(20 + 10 * seed, 2 + seed, seed)
+        self.check(PointSet(pts.shape[1], pts))
+        self.check(PointSet(pts.shape[1], np.vstack([pts, -pts])))
+        # a loose tolerance chains many values into each cluster
+        self.check(PointSet(pts.shape[1], pts), merge_tol=1e-3)
+
+    def test_single_point(self):
+        ips = inner_product_set(PointSet(2, [[1.0, 0.0]]))
+        assert (ips.values, ips.multiplicities, ips.symmetric) == ((), (), True)
+
+    def test_two_thousand_points_under_two_seconds(self):
+        pts = random_points(2000, 4, seed=7)
+        start = time.perf_counter()
+        ips = inner_product_set(PointSet(4, pts))
+        assert time.perf_counter() - start < 2.0
+        assert sum(ips.multiplicities) == 2000 * 1999 // 2
 
 
 class TestSeparatedComponents:

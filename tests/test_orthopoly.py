@@ -248,6 +248,23 @@ class TestBessel:
             assert lhs == pytest.approx(z * bessel_j(0.0, z), rel=1e-7, abs=1e-8)
 
 
+    def test_first_zeros_pinned(self):
+        # values of the absolute 1e-13 bisection, which the large-order stop leaves as they were
+        assert [bessel_first_zero(a) for a in (0.0, 0.5, 1.0, 3.5, 7.0, 10.5)] == [
+            2.4048255576957667, 3.1415926535897993, 3.8317059702075165,
+            6.987932000500549, 11.086370019245102, 15.033469303743416]
+
+    @pytest.mark.parametrize("alpha", [499.5, 1000.0])
+    def test_first_zero_at_large_order_ends_at_a_sign_change(self, alpha):
+        # above 512 one ulp exceeds 1e-13: bisection stops at adjacent floats
+        from scipy.special import jv
+
+        z = bessel_first_zero(alpha)
+        assert alpha < z < alpha + 2 * alpha ** (1 / 3) + 1
+        lo, hi = z - 3 * math.ulp(z), z + 3 * math.ulp(z)
+        assert jv(alpha, lo) > 0 > jv(alpha, hi)
+
+
 class TestMehlerHeine:
     def test_scaled_kernel_converges_to_bessel(self):
         # alpha = (n-3)/2 = 0 for n = 3; renormalize Q to P with P(1) = C(t+alpha, t)

@@ -1,11 +1,13 @@
 """Musin reduction, LRS integrality, Einhorn-Schoenberg rank test, dossiers."""
 
+import inspect
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from hidesign import tightness
 from hidesign.exactnum import QuadExt, fraction_free_rank
 from hidesign.tightness import (
     EQUIANGULAR_LINE_MAX,
@@ -184,6 +186,27 @@ class TestScan:
         with pytest.raises(GraphFormatError, match="#1"):
             list(scan_graph_corpus(graphs, QuadExt(2), 3))
 
+    @pytest.mark.parametrize("small", [np.zeros((1, 1), dtype=int), np.zeros((0, 0), dtype=int)])
+    def test_fewer_than_two_vertices_reports_index(self, small):
+        scan = scan_graph_corpus([SQUARE_DIAGONALS, small], QuadExt(2), 3)
+        assert next(scan).index == 0
+        with pytest.raises(GraphFormatError, match=r"graph #1: .*at least 2 vertices, got "):
+            next(scan)
+
+    def test_fewer_than_two_vertices_from_graph6(self):
+        scan = scan_graph_corpus(read_graph6(["C~", "@"]), QuadExt(2), 3)
+        assert next(scan).vertex_count == 4
+        with pytest.raises(GraphFormatError, match="graph #1: .*got 1"):
+            next(scan)
+
+    def test_each_adjacency_checked_once(self, monkeypatch):
+        calls = []
+        check = tightness._check_adjacency
+        monkeypatch.setattr(tightness, "_check_adjacency", lambda a: calls.append(1) or check(a))
+        graphs = four_vertex_graphs()
+        assert len(list(scan_graph_corpus(graphs, QuadExt(2), 3))) == len(graphs)
+        assert len(calls) == len(graphs)
+
 
 class TestGraphIO:
     def test_graph6_round_trip(self, tmp_path):
@@ -205,6 +228,47 @@ class TestGraphIO:
     def test_graph6_malformed_line_number(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             list(read_graph6(["C?", "\x01bad\x02"]))
+
+    def test_graph6_matches_networkx_on_the_atlas(self):
+        for g in nx.graph_atlas_g():  # every graph on 0..7 vertices
+            line = nx.to_graph6_bytes(g, header=False).decode("ascii")
+            expect = nx.to_numpy_array(g, dtype=int, nodelist=sorted(g.nodes()))
+            (got,) = read_graph6([line])
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_graph6_matches_networkx_with_four_byte_counts(self):
+        rng = np.random.default_rng(6)
+        lines, expect = [], []
+        for n in list(range(63, 91)) + [200]:
+            g = nx.gnp_random_graph(n, float(rng.uniform(0.05, 0.95)), seed=int(rng.integers(1 << 31)))
+            lines.append(nx.to_graph6_bytes(g, header=False).decode("ascii"))
+            expect.append(nx.to_numpy_array(g, dtype=int, nodelist=sorted(g.nodes())))
+        assert all(line.startswith("~") for line in lines)  # 126, then 18 bits of n
+        got = list(read_graph6(lines))
+        assert len(got) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    @pytest.mark.parametrize("record, message", [
+        ("C>", "range"),  # ">" is 62, below the lowest graph6 byte 63
+        ("C\x7f", "range"),
+        ("C", "Expected 6 bits but got 0"),
+        ("C~?", "Expected 6 bits but got 12"),
+        ("~?@?", "Expected 2016 bits but got 0"),
+        ("~??", "cut short"),
+        ("~~??????", "8-byte"),
+        ("Cé", "ascii"),
+    ])
+    def test_graph6_malformed_record_names_line(self, record, message):
+        with pytest.raises(GraphFormatError, match=f"line 3: invalid graph6 record: .*{message}"):
+            list(read_graph6(["C?", "", record]))
+
+    def test_graph6_reader_is_a_generator(self):
+        lines = iter(["C~", "C>"])
+        graphs = read_graph6(lines)
+        assert inspect.isgenerator(graphs)
+        assert next(graphs).shape == (4, 4)
+        with pytest.raises(GraphFormatError, match="line 2"):
+            next(graphs)
 
     def test_adjacency_json(self):
         text = '{"graphs": [[[0,1],[1,0]], [[0,0],[0,0]]]}'

@@ -1,0 +1,142 @@
+"""Compare the hidesign command line of two source trees, call by call.
+
+    python tools/compare_cli.py OLD_SRC NEW_SRC
+
+Runs a fixed list of invocations (every subcommand in every --format, with
+and without --out, and the error cases of tests/test_cli.py) once per tree,
+with that tree's ``src`` directory on PYTHONPATH and a fresh working
+directory holding the same input files.  Prints one line per invocation
+whose stdout, stderr, written files or exit code differ; exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+G4 = "C? C@ CB C` CJ CF Ck CN Cl C| C~".split()  # the 11 graphs on 4 vertices
+INPUTS = {
+    "g4.g6": ("\n".join(G4) + "\n").encode(),
+    "bad.g6": b"C?\n\x01\x02\n",
+    "bad_ff.g6": b"C?\n\xff\n",
+    "small.g6": b"C~\n@\n",
+    "graphs.json": json.dumps([[[0, 1], [1, 0]]]).encode(),
+    "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
+    "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
+}
+MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half")]
+
+CASES = [  # (argv, extra environment)
+    ("table --n 3..4 --t 5", {}),
+    ("table --n 3..10 --t 4..20 --even --truncate 2", {}),
+    ("table --n 3..5 --t 4..8 --format csv", {}),
+    ("table --n 3..4 --t 4..6 --format json", {}),
+    ("table --n 3..10 --t 4..20 --even --truncate 2 --out t/table.txt", {}),
+    ("table --n 3..5 --t 4..8 --format csv --out table.csv", {}),
+    ("table --n 3..4 --t 4..6 --format json --out table.json", {}),
+    ("construct icosahedron-half", {}),
+    ("construct e8-half --out e8.json", {}),
+    ("construct cell600-half --out c600.json", {}),
+    ("construct two-point-s1 --e 3 --j 1", {}),
+    ("construct simplex --n 3 --out sub/simplex.json", {"HIDESIGN_OUTDIR": "outdir"}),
+    ("construct lift --base pent.json --n 3 --t 4 --root-index 1", {}),
+    ("construct lift --base pent.json --n 3 --t 4 --root-index 2 --out lifted.json", {}),
+    ("verify --in x0.json --t 4", {}),
+    ("verify --in x0.json --t 4 --format json", {}),
+    ("verify --in x0.json --t 4 --out v.txt", {}),
+    ("verify --in x0.json --t 4 --format json --out v.json", {}),
+    ("verify --in ico.json --t 6", {}),
+    ("verify --in ico.json --t 8 --format json", {}),
+    ("verify --in pent.json --t 4 --spherical", {}),
+    ("asymptote --n 7", {}),
+    ("asymptote --n 4 --format json", {}),
+    ("asymptote --n 9 --out a.txt", {}),
+    ("asymptote --n 9 --format json --out a.json", {}),
+    ("tight --n 23", {}),
+    ("tight --n 4", {}),
+    ("tight --n 71 --format json", {}),
+    ("tight --n 7 --out tight.txt", {}),
+    ("tight --n 8 --format json --out tight.json", {}),
+    ("embed --graphs g4.g6 --b2 2 --n 2", {}),
+    ("embed --graphs g4.g6 --b2 (7+√33)/4 --n 7", {}),
+    ("embed --graphs g4.g6 --b2 2 --n 3 --out scan.ndjson", {}),
+    ("embed --graphs graphs.json --json-adjacency --b2 2 --n 1", {}),
+    # error cases of tests/test_cli.py
+    ("table --n 10..3 --t 4", {}),
+    ("construct lift --base pent.json --n 3 --t 4 --radius 0.5", {}),
+    ("verify --in bad.json --t 2", {}),
+    ("verify --in nan.json --t 2", {}),
+    ("asymptote --n 2", {}),
+    ("embed --graphs bad.g6 --b2 2 --n 3", {}),
+    ("embed --graphs bad_ff.g6 --b2 2 --n 3 --out records.ndjson", {}),
+    ("embed --graphs g4.g6 --b2 x --n 3", {}),
+    ("table", {}),
+    # further invalid input
+    ("table --n 3 --t x", {}),
+    ("construct dodecahedron", {}),
+    ("construct regular-polygon --e 3", {}),
+    ("construct regular-polygon", {}),
+    ("construct lift --n 3 --t 4", {}),
+    ("construct lift --base pent.json --t 4", {}),
+    ("construct lift --base pent.json --n 4 --t 4", {}),
+    ("construct lift --base pent.json --n 3 --t 4 --root-index 9", {}),
+    ("verify --in missing.json --t 4", {}),
+    ("verify --in x0.json --t 0", {}),
+    ("tight --n 1", {}),
+    ("embed --graphs missing.g6 --b2 2 --n 3", {}),
+    ("embed --graphs g4.g6 --b2 1/2 --n 3", {}),
+    ("embed --graphs bad.json --json-adjacency --b2 2 --n 3", {}),
+    ("verify --in x0.json --t 4 --format csv", {}),
+    ("embed --graphs g4.g6 --b2 2 --n 3 --format json", {}),
+    # defects this comparison is expected to show as fixed
+    ("table --n 3..4 --t 4 --truncate -3", {}),
+    ("embed --graphs small.g6 --b2 2 --n 3", {}),
+]
+
+
+def _run(src: Path, inputs: Path, argv: str, env_extra: dict) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "w"
+        shutil.copytree(inputs, work)
+        env = {k: v for k, v in os.environ.items() if k != "HIDESIGN_OUTDIR"}
+        env.update(env_extra, PYTHONPATH=str(src.resolve()))
+        proc = subprocess.run([sys.executable, "-m", "hidesign", *argv.split()], cwd=work,
+                              env=env, capture_output=True)
+        written = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*"))
+                   if p.is_file() and not (inputs / p.relative_to(work)).exists()}
+        return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def main() -> int:
+    old, new = Path(sys.argv[1]), Path(sys.argv[2])
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        for name, data in INPUTS.items():
+            (inputs / name).write_bytes(data)
+        for name, kind in MADE:
+            subprocess.run([sys.executable, "-m", "hidesign", "construct", *kind.split(),
+                            "--out", str(inputs / name)], check=True,
+                           env=dict(os.environ, PYTHONPATH=str(old.resolve())))
+        differ = 0
+        for argv, env_extra in CASES:
+            a, b = _run(old, inputs, argv, env_extra), _run(new, inputs, argv, env_extra)
+            if a != b:
+                differ += 1
+                parts = [name for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b)
+                         if x != y]
+                print(f"DIFFERS ({', '.join(parts)}): hidesign {argv}")
+                for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b):
+                    if x != y:
+                        print(f"    old {name}: {x!r:.300}\n    new {name}: {y!r:.300}")
+        print(f"{len(CASES)} invocations, {len(CASES) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
