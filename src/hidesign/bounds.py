@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .exactnum import QuadExt
 from .orthopoly import KernelSpec, bessel_first_zero, bessel_j, dim_harmonic, q_min
 
@@ -102,7 +104,8 @@ def format_bound(b: float, decimals: int = 2) -> str:
     ``decimals`` fractional digits and suffixed with "..".  When the kept
     digits are all zero, more digits are appended until a nonzero one
     appears, so 27.00401... prints as "27.004.." rather than hiding its
-    fractional part.  A negative ``decimals`` raises ValueError.
+    fractional part.  With ``decimals=0`` only the integer part is kept
+    ("3.."), and a negative ``decimals`` raises ValueError.
     """
     if decimals < 0:
         raise ValueError(f"decimals must be >= 0, got {decimals}")
@@ -113,7 +116,7 @@ def format_bound(b: float, decimals: int = 2) -> str:
     k = decimals
     while k < len(frac) and set(frac[:k]) == {"0"}:
         k += 1
-    return f"{intpart}.{frac[:k]}.."
+    return f"{intpart}.{frac[:k]}.." if k else f"{intpart}.."
 
 
 def table_text(reports: list[BoundReport], truncate: Optional[int] = None) -> str:
@@ -188,14 +191,15 @@ def asymptotic_bound(n: int) -> AsymptoteReport:
         raise ValueError(f"asymptote requires n >= 3, got {n}")
     alpha = (n - 3) / 2
     j1 = bessel_first_zero((n - 1) / 2)
-    F = (j1 / 2) ** (-alpha) * bessel_j(alpha, j1)
-    return AsymptoteReport(
-        n=n,
-        j1=j1,
-        Fvalue=F,
-        limit=1 - 1 / F,
-        limit_corrected=1 - 1 / (math.gamma(alpha + 1) * F),
-    )
+    with np.errstate(all="ignore"):
+        F = np.float64(j1 / 2) ** -alpha * bessel_j(alpha, j1)
+        limit = 1 - 1 / F
+        # Gamma(alpha + 1) overflows from alpha = 171, where F has underflowed and limit is inf
+        corrected = 1 - 1 / ((math.gamma(alpha + 1) if alpha < 171 else math.inf) * F)
+    for name, value in (("F", F), ("limit", limit), ("limit_corrected", corrected)):
+        if not np.isfinite(value):
+            raise ValueError(f"asymptote at n = {n}: {name} is {value}, not finite in float64")
+    return AsymptoteReport(n=n, j1=j1, Fvalue=F, limit=limit, limit_corrected=corrected)
 
 
 def tight_inner_product(n: int) -> QuadExt:

@@ -9,12 +9,12 @@ makes its sign structure (roots, global minimum) control design bounds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb, cos, pi
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
     "dim_harmonic",
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 ROOT_RESIDUAL_TOL = 1e-9  # |Q(root)| below this multiple of Q(1)
+ROOT_GRID_DOUBLINGS = 4  # bracketing grids tried after the first, each twice as fine
 BESSEL_SCAN_STEP = 1e-2  # smaller than the spacing of low-order Bessel zeros
 
 
@@ -53,10 +54,7 @@ class KernelSpec:
     t: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"degree must be >= 0, got {self.t}")
+        dim_harmonic(self.n, self.t)  # raises on n < 2 or t < 0
 
     @property
     def dim(self) -> int:
@@ -111,64 +109,61 @@ def q_eval(spec: KernelSpec, x):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def _jacobi_offdiag(t: int, a: float) -> np.ndarray:
-    """Off-diagonal of the symmetric Jacobi matrix for P^(a,a), length t-1."""
-    beta = np.empty(t)
-    beta[0] = 0.0  # unused
-    if t > 1:
-        apb2 = 2 + 2 * a
-        beta[1] = 4 * (a + 1) ** 2 / ((apb2 + 1) * apb2 * apb2)
-        for k in range(2, t):
-            apb2 = 2 * k + 2 * a
-            beta[k] = (
-                4 * k * (k + a) ** 2 * (k + 2 * a)
-                / ((apb2 * apb2 - 1) * apb2 * apb2)
-            )
-    return np.sqrt(beta[1:])
-
-
 def q_roots(spec: KernelSpec) -> np.ndarray:
-    """All t roots of Q_{n,t}, ascending, inside (-1, 1).
+    """All t roots of Q_{n,t}, ascending, inside (-1, 1), with no eigen-solver.
 
-    Eigenvalues of the recurrence's symmetric tridiagonal Jacobi matrix give
-    the roots to near machine precision; a vectorized bisection polish pins
-    each root so |Q(root)| < 1e-9 * Q(1) even at degree ~60.
+    One recurrence pass on a grid uniform in arccos x and symmetric about 0
+    brackets the roots: t sign changes, counting exact zeros on the grid
+    (0 for odd t), certify one root per bracket; else the grid doubles, at
+    most ROOT_GRID_DOUBLINGS times, before a RuntimeError.  Newton's method
+    refines each bracket from its chord's zero, with the derivative from the
+    same pass, (1-x^2) P_t' = (t+2*lambda-1) P_{t-1} - t*x*P_t (t*(T_{t-1} -
+    x*T_t) for n = 2); a step leaving the bracket or not half the previous
+    one becomes a bisection, and a root is final when its step is <= 4 ulps.
     """
     n, t = spec.n, spec.t
     if t < 1:
         raise ValueError("root finding needs degree t >= 1")
-    if t == 1:
-        return np.array([0.0])
-    a = (n - 2) / 2 - 0.5
-    roots = np.sort(eigvalsh_tridiagonal(np.zeros(t), _jacobi_offdiag(t, a)))
-    # brackets: midpoints between adjacent eigenvalue estimates, +-1 outside
-    lo = np.empty(t)
-    hi = np.empty(t)
-    mid = (roots[1:] + roots[:-1]) / 2
-    lo[0], hi[-1] = -1.0, 1.0
-    lo[1:], hi[:-1] = mid, mid
-    flo = q_eval(spec, lo)
-    for _ in range(80):
-        m = (lo + hi) / 2
-        fm = q_eval(spec, m)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, m, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, m)
-    return (lo + hi) / 2
+    size = int(t + (n - 2) / 2 + 1)
+    for _ in range(ROOT_GRID_DOUBLINGS + 1):
+        half = np.sin(np.linspace(0.0, pi / 2, size + 1))
+        grid = np.concatenate([-half[:0:-1], half])
+        vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
+        sign = np.sign(vals)
+        cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        if len(cross) + np.count_nonzero(vals == 0) == t:
+            break
+        size *= 2
+    else:
+        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points")
+    lo, hi, flo, fhi = grid[cross], grid[cross + 1], vals[cross], vals[cross + 1]
+    x = lo + (hi - lo) * (flo / (flo - fhi))
+    x = np.where(np.isfinite(x), x, (lo + hi) / 2)  # the chord's zero, or the midpoint on overflow
+    moved, live = hi - lo, np.arange(len(x))
+    a = t if n == 2 else t + n - 3
+    while len(live):  # ends: accepted steps halve, and each bisection halves the bracket
+        xl = x[live]
+        prev, cur = deque(_recurrence(n, t, xl), maxlen=2)
+        below = np.sign(cur) == np.sign(flo[live])
+        lo[live[below]], hi[live[~below]] = xl[below], xl[~below]
+        step = cur * (1 - xl * xl) / (a * prev - t * xl * cur)
+        new, tiny = xl - step, 4 * np.spacing(np.abs(xl))
+        keep = (lo[live] <= new) & (new <= hi[live]) & (np.abs(step) <= moved[live] / 2)
+        new = np.where(keep | (np.abs(step) <= tiny), new, (lo[live] + hi[live]) / 2)
+        moved[live], x[live] = np.abs(new - xl), new
+        live = live[moved[live] > tiny]
+    return np.sort(np.concatenate([x, grid[vals == 0]]))
 
 
 def q_min(spec: KernelSpec) -> MinimumReport:
     """Global minimum of Q_{n,t} on [-1,1], reported as c = -min > 0.
 
-    For n = 2 the kernel is 2*cos(t*arccos x) and c = 2 in closed form.  For
-    t = 1 the kernel is linear with minimum at -1.  Otherwise the derivative
-    of Q_{n,t} is proportional to Q_{n+2,t-1}, so Q is evaluated at every
-    root of that kernel plus the endpoints; evaluating all critical points
-    instead of only the largest one keeps the routine robust, and agreement
-    with the largest root is checked separately as a test invariant.  Among
-    locations attaining the minimum (even t gives a symmetric pair) the
-    largest is reported.
+    Closed forms for n = 2 (2*cos(t*arccos x), c = 2) and t = 1 (linear,
+    minimum at -1).  Otherwise Q_{n,t}' is proportional to Q_{n+2,t-1}, so Q
+    is evaluated at every root of that kernel, found by q_roots' bracketing
+    pass and safeguarded Newton, plus the endpoints; all critical points are
+    tried, not only the largest.  Among locations attaining the minimum (even
+    t gives a symmetric pair) the largest is reported.
     """
     n, t = spec.n, spec.t
     if t < 1:

@@ -16,6 +16,7 @@ from hidesign.bounds import (
     tight_inner_product,
 )
 from hidesign.exactnum import QuadExt
+from hidesign.orthopoly import bessel_j
 
 
 class TestFisherBound:
@@ -75,6 +76,13 @@ class TestFormatting:
             with pytest.raises(ValueError, match="decimals must be >= 0, got -1"):
                 format_bound(b, -1)
 
+    def test_zero_decimals_keep_the_integer_part(self):
+        assert format_bound(3.3333333, 0) == "3.."
+        assert format_bound(0.5, 0) == "0.."
+        assert format_bound(27.00401608, 0) == "27.."
+        assert format_bound(28.0, 0) == "28"
+        assert format_bound(3.3333333) == "3.33.."
+
     def test_table_text_contains_grid(self):
         reports = bound_table([3, 4], [4, 6])
         text = table_text(reports, truncate=2)
@@ -131,6 +139,22 @@ class TestAsymptote:
     def test_requires_n_at_least_three(self):
         with pytest.raises(ValueError):
             asymptotic_bound(2)
+
+    def test_n320_keeps_the_unguarded_values(self):
+        # the last n before 1/F overflows: F is within a factor 300 of underflow
+        rep = asymptotic_bound(320)
+        alpha = (320 - 3) / 2
+        F = (rep.j1 / 2) ** (-alpha) * bessel_j(alpha, rep.j1)
+        assert (rep.Fvalue, rep.limit, rep.limit_corrected) == (
+            F, 1 - 1 / F, 1 - 1 / (math.gamma(alpha + 1) * F))
+        assert 1e307 < rep.limit < math.inf
+
+    @pytest.mark.parametrize("n", [321, 400])
+    def test_overflow_is_an_error_naming_n_and_the_field(self, n):
+        # from n = 321, 1/F exceeds float64; at n = 400 F itself underflows to 0
+        # and Gamma((n-1)/2) overflows
+        with pytest.raises(ValueError, match=f"asymptote at n = {n}: limit is inf, not finite"):
+            asymptotic_bound(n)
 
 
 class TestHighPrecisionCrossCheck:

@@ -45,6 +45,11 @@ class TestTable:
         assert code == 2 and out == ""
         assert err == "error: decimals must be >= 0, got -3\n"
 
+    def test_zero_truncate_keeps_integer_parts(self, capsys):
+        code, out, _ = run(capsys, "table", "--n", "3..5", "--t", "4", "--truncate", "0")
+        assert code == 0
+        assert out.splitlines()[1].split() == ["4", "3..", "5", "7"]
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "table", "--n", "10..3", "--t", "4")
         assert code == 2
@@ -168,6 +173,17 @@ class TestAsymptote:
     def test_too_small_n(self, capsys):
         assert run(capsys, "asymptote", "--n", "2")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", [321, 400])
+    def test_overflow_exits_2(self, capsys, n, fmt):
+        code, out, err = run(capsys, "asymptote", "--n", str(n), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: asymptote at n = {n}: limit is inf, not finite in float64\n"
+
+    def test_n320_still_reports(self, capsys):
+        code, out, _ = run(capsys, "asymptote", "--n", "320", "--format", "json")
+        assert code == 0 and 1e307 < json.loads(out)["limit"] < float("inf")
+
 
 class TestTight:
     def test_n23(self, capsys):
@@ -267,8 +283,9 @@ class TestParser:
 
 class TestSubprocess:
     def test_cli_import_loads_neither_networkx_nor_scipy_special(self):
-        code = ("import sys, hidesign.cli; "
-                "print(sorted(m for m in ('networkx', 'scipy.special') if m in sys.modules))")
+        # nor any other scipy module: only the Bessel functions import scipy, on use
+        code = ("import sys, hidesign.cli; print(sorted(m for m in sys.modules "
+                "if m == 'networkx' or m == 'scipy' or m.startswith(('networkx.', 'scipy.'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -1,12 +1,14 @@
 """Kernel evaluation, roots, minima, and Bessel functions."""
 
 import math
+import random
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from hidesign.orthopoly import (
+    ROOT_RESIDUAL_TOL,
     KernelSpec,
     bessel_first_zero,
     bessel_j,
@@ -143,6 +145,80 @@ class TestQRoots:
                 inner = q_roots(KernelSpec(n, t))
                 outer = q_roots(KernelSpec(n, t + 1))
                 assert np.all(outer[:-1] < inner) and np.all(inner < outer[1:])
+
+    def test_zero_on_the_grid_is_counted(self):
+        # odd degree: 0 is a root and a point of the symmetric bracketing grid
+        for n, t in [(2, 5), (3, 7), (9, 101)]:
+            roots = q_roots(KernelSpec(n, t))
+            assert len(roots) == t and roots[t // 2] == 0.0
+            np.testing.assert_array_equal(roots, -roots[::-1])
+
+
+def mp_kernel(n: int, t: int, x):
+    """P_t(x) at mpmath precision, with the recurrence written out again here:
+    Chebyshev T_t for n = 2, else the Gegenbauer C_t^lambda, lambda = (n-2)/2."""
+    import mpmath as mp
+
+    lam = mp.mpf(n - 2) / 2
+    prev, cur = mp.mpf(1), x if n == 2 else 2 * lam * x
+    for k in range(2, t + 1):
+        if n == 2:
+            prev, cur = cur, 2 * x * cur - prev
+        else:
+            prev, cur = cur, (2 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
+    return cur
+
+
+def _root_cases():
+    rng = random.Random(20130)
+    cases = {(2, rng.randrange(2, 90)) for _ in range(3)}  # the circle
+    cases |= {(rng.randrange(3, 40), 2 * rng.randrange(1, 45) + 1) for _ in range(5)}  # odd t
+    cases |= {(rng.randrange(41, 201), rng.randrange(2, 13)) for _ in range(5)}  # large n
+    cases |= {(rng.randrange(3, 30), 2 * rng.randrange(2, 50)) for _ in range(4)}
+    return sorted(cases) + [(2, 1), (3, 2000)]
+
+
+class TestRootsAgainstMpmath:
+    """Differential check of q_roots against a 30-digit recurrence.
+
+    A sign change of the mpmath kernel on [r - 1e-13, r + 1e-13] puts an exact
+    root within 1e-13 of the float root r; with t such disjoint intervals these
+    are all the roots.  At degree 2000 a seeded sample of roots is checked.
+    """
+
+    DELTA = 1e-13
+
+    @pytest.mark.parametrize("n,t", _root_cases())
+    def test_roots_within_delta_of_mpmath(self, n, t):
+        import mpmath as mp
+
+        roots = q_roots(KernelSpec(n, t))
+        assert len(roots) == t and np.all(np.diff(roots) > 2 * self.DELTA)
+        assert np.abs(q_eval(KernelSpec(n, t), roots)).max() < ROOT_RESIDUAL_TOL * dim_harmonic(n, t)
+        picks = range(t)
+        if t > 200:
+            rng = random.Random(t)
+            picks = sorted({0, 1, t // 2, t - 2, t - 1} | set(rng.sample(range(t), 12)))
+        with mp.workdps(30):
+            for i in picks:
+                r = mp.mpf(float(roots[i]))
+                left, right = mp_kernel(n, t, r - self.DELTA), mp_kernel(n, t, r + self.DELTA)
+                assert left * right < 0, (n, t, i, float(roots[i]))
+
+    def test_degree_2000_minimum_against_mpmath(self):
+        # c_{3,2000} is Q at the largest critical point, the largest root of
+        # the derivative kernel C_1999^(3/2); polish it at 30 digits and compare
+        import mpmath as mp
+
+        n, t = 3, 2000
+        rep = q_min(KernelSpec(n, t))
+        with mp.workdps(30):
+            x = mp.mpf(rep.argmin)
+            crit = mp.findroot(lambda y: mp_kernel(n + 2, t - 1, y),
+                               (x - self.DELTA, x + self.DELTA), solver="anderson")
+            c = -dim_harmonic(n, t) * mp_kernel(n, t, crit) / mp_kernel(n, t, mp.mpf(1))
+        assert abs(rep.argmin - float(crit)) < self.DELTA
+        assert rep.c == pytest.approx(float(c), rel=1e-13)
 
 
 class TestQMin:

@@ -96,6 +96,9 @@ CASES = [  # (argv, extra environment)
     # defects this comparison is expected to show as fixed
     ("table --n 3..4 --t 4 --truncate -3", {}),
     ("embed --graphs small.g6 --b2 2 --n 3", {}),
+    ("table --n 3..5 --t 4..6 --truncate 0", {}),
+    ("asymptote --n 321 --format json", {}),
+    ("asymptote --n 400", {}),
 ]
 
 
