@@ -158,7 +158,7 @@ def cmd_tight(args) -> int:
     dossier = tightness.tightness_dossier(args.n)
     lines = [
         f"n = {dossier.n}, t = {dossier.t}",
-        f"bound b = {dossier.b_exact} = {format(dossier.b, '.17g')} "
+        f"bound b = {dossier.b_exact} = {format(dossier.b, '.15g')} "
         f"({'integer' if dossier.integral else 'not an integer'})",
         f"tight inner products: +-{dossier.alpha}",
         f"squared distance ratio: {dossier.two_distance_ratio_sq}",

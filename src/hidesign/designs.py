@@ -42,8 +42,9 @@ __all__ = [
 NORM_TOL = 1e-12
 DISTINCT_TOL = 1e-9
 DEFAULT_VERIFY_TOL = 1e-9
-# Gram entries per row block: the work arrays of the distinctness check and the kernel sums
-_GRAM_BLOCK = 1 << 16
+# Gram entries per upper-triangle block: the work arrays of the distinctness
+# check, the kernel sums and the inner products, small enough to stay in cache
+_GRAM_BLOCK = 1 << 14
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
@@ -52,10 +53,16 @@ class InvalidPointSetError(ValueError):
 
 
 def _gram_blocks(pts: np.ndarray):
-    """Yield (first row, Gram block of _GRAM_BLOCK // m rows, at least one)."""
-    step = max(1, _GRAM_BLOCK // len(pts))
-    for i in range(0, len(pts), step):
-        yield i, pts[i:i + step] @ pts.T
+    """Walk the upper triangle of the Gram matrix: yield (i, block) where block
+    holds rows i..i+s against columns i..m, s = max(1, _GRAM_BLOCK // (m - i)).
+
+    Each unordered pair appears once, except in the leading s x s square of a
+    block, which holds both orders of its pairs and the diagonal entries."""
+    m, i = len(pts), 0
+    while i < m:
+        s = max(1, _GRAM_BLOCK // (m - i))
+        yield i, pts[i:i + s] @ pts[i:].T
+        i += s
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,10 @@ class PointSet:
 
     Invariants checked at construction: nonempty; every point finite with unit
     norm within 1e-12; points pairwise distinct (distance > 1e-9), screened on
-    Gram row blocks (entries within rounding of 1) and confirmed by the exact
-    difference norm, as float64 2 - 2<x,y> cannot resolve distances below
-    about 1e-8.  No m x m array is formed.  The coordinates are made read-only.
+    the upper-triangle Gram blocks of _gram_blocks (entries within rounding of
+    1, each block's own diagonal masked) and confirmed by the exact difference
+    norm, as float64 2 - 2<x,y> cannot resolve distances below about 1e-8.
+    No m x m array is formed.  The coordinates are made read-only.
     """
 
     dim: int
@@ -91,14 +99,15 @@ class PointSet:
         # DISTINCT_TOL has a Gram entry above floor, after the dot's rounding
         floor = 1 - 2 * NORM_TOL - DISTINCT_TOL ** 2 - 4 * (self.dim + 2) * np.finfo(float).eps
         for i, block in _gram_blocks(pts):
-            np.fill_diagonal(block[:, i:], -np.inf)
+            np.fill_diagonal(block, -np.inf)
             if block.max() < floor:
                 continue
             r, c = np.nonzero(block >= floor)
-            dist = np.linalg.norm(pts[i + r] - pts[c], axis=1)
+            r, c = np.minimum(r, c) + i, np.maximum(r, c) + i  # the leading square has both orders
+            dist = np.linalg.norm(pts[r] - pts[c], axis=1)
             k = np.argmin(dist)
             if dist[k] <= DISTINCT_TOL:
-                raise InvalidPointSetError(f"points are not pairwise distinct (points {i + r[k]} "
+                raise InvalidPointSetError(f"points are not pairwise distinct (points {r[k]} "
                                            f"and {c[k]} at distance {dist[k]:.3e})")
         if self.labels is not None and len(self.labels) != len(pts):
             raise InvalidPointSetError("label count does not match point count")
@@ -203,16 +212,20 @@ class KernelCertificate:
 
 
 def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
-    """Kernel sums at ascending degrees from one recurrence pass per Gram row
-    block up to the last degree: O(max(degrees) * m^2) time."""
+    """Kernel sums at ascending degrees from one recurrence pass per
+    upper-triangle Gram block up to the last degree: O(max(degrees) * m^2)
+    time.  A block adds twice its sum less its leading square's, which holds
+    the diagonal and both orders of its pairs; a single block (m^2 <=
+    _GRAM_BLOCK) is the whole Gram matrix and adds its plain sum."""
     degrees = tuple(degrees)
     if not degrees or degrees[0] < 1:
         raise ValueError("degree must be >= 1")
     sums = dict.fromkeys(degrees, 0.0)
     for _, block in _gram_blocks(X.points):
+        s = len(block)
         for k, vals in enumerate(_recurrence(X.dim, degrees[-1], block)):
             if k in sums:
-                sums[k] += float(vals.sum())
+                sums[k] += 2 * float(vals.sum()) - float(vals[:, :s].sum())
     raws = tuple(sums[k] * _scale(X.dim, k) for k in degrees)
     residuals = tuple(abs(r) / (len(X) * dim_harmonic(X.dim, k)) for r, k in zip(raws, degrees))
     return KernelCertificate(X.dim, degrees, raws, residuals, tol)
@@ -225,8 +238,9 @@ def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
     """Check the kernel criterion at every degree 1..t (full design test): one
-    recurrence pass per Gram row block gives all t sums in O(t * m^2) time,
-    with memory a few blocks of 65536 entries, not an m x m array."""
+    recurrence pass per upper-triangle Gram block gives all t sums in
+    O(t * m^2) time, with memory a few blocks of _GRAM_BLOCK = 16384 entries,
+    not an m x m array."""
     return _certificate(X, range(1, t + 1), tol)
 
 
@@ -247,28 +261,55 @@ class InnerProductSet:
     merge_tol: float
 
 
+def _product_clusters(pts: np.ndarray, merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and sizes of the clusters of the m(m-1)/2 inner products of
+    distinct points, gathered from the strict upper triangle of each
+    _gram_blocks block and sorted: no m x m array is formed, and the products
+    are freed on return."""
+    m = len(pts)
+    vals, pos = np.empty(m * (m - 1) // 2), 0
+    for _, block in _gram_blocks(pts):
+        upper = block[~np.tri(*block.shape, dtype=bool)]
+        vals[pos:pos + len(upper)] = upper
+        pos += len(upper)
+    vals.sort()
+    # clusters are the runs of sorted values joined by gaps <= merge_tol; each
+    # center is its first value plus the mean offset from it, and offsets no
+    # wider than the cluster keep the rounding of long sums below its ulp
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > merge_tol)
+    counts = np.diff(starts, append=len(vals))
+    centers = vals[starts]
+    vals -= np.repeat(centers, counts)
+    offsets = np.add.reduceat(vals, starts)
+    offsets /= counts
+    centers += offsets
+    return centers, counts
+
+
+def _mirrored(c: np.ndarray, merge_tol: float) -> bool:
+    """Whether each ascending center c has a center within merge_tol of -c.
+
+    -1 counts as self-paired: its mirror +1 cannot occur between distinct
+    unit vectors, yet antipodally closed sets always produce -1.  The center
+    nearest -c is one of the two that searchsorted puts around it."""
+    j = np.searchsorted(c, -c)
+    near = np.minimum(np.abs(c + c[np.maximum(j - 1, 0)]), np.abs(c + c[np.minimum(j, len(c) - 1)]))
+    return bool(np.all((np.abs(c + 1) <= merge_tol) | (near <= merge_tol)))
+
+
 def inner_product_set(X: PointSet, merge_tol: float = 1e-8) -> InnerProductSet:
     """Cluster the inner products <x,y>, x != y, at the given tolerance.
 
     Multiplicities count unordered pairs.  The set is flagged symmetric when
     every value has its negative present (within the merge tolerance).
     """
-    vals = np.sort(X.gram()[np.triu_indices(len(X), k=1)])
-    # clusters are the runs of sorted values joined by gaps <= merge_tol; each
-    # center is its first value plus the mean offset from it, and offsets no
-    # wider than the cluster keep the rounding of long sums below its ulp
-    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > merge_tol)
-    counts = np.diff(starts, append=len(vals))
-    first = vals[starts]
-    c = first + np.add.reduceat(vals - np.repeat(first, counts), starts) / counts
-    # -1 counts as self-paired: its mirror +1 cannot occur between distinct
-    # unit vectors, yet antipodally closed sets always produce -1.  The center
-    # nearest -c is one of the two that searchsorted puts around it.
-    j = np.searchsorted(c, -c)
-    near = np.minimum(np.abs(c + c[np.maximum(j - 1, 0)]), np.abs(c + c[np.minimum(j, len(c) - 1)]))
-    symmetric = bool(np.all((np.abs(c + 1) <= merge_tol) | (near <= merge_tol)))
-    centers, mults = tuple(c.tolist()), tuple(counts.tolist())
-    return InnerProductSet(centers, mults, symmetric, merge_tol)
+    c, counts = _product_clusters(X.points, merge_tol)
+    symmetric = _mirrored(c, merge_tol)
+    # up to m(m-1)/2 Python floats outweigh every array here: build the
+    # tuples with no spare array alive, and the centers with no list between
+    mults = tuple(counts.tolist())
+    del counts
+    return InnerProductSet(tuple(memoryview(c)), mults, symmetric, merge_tol)
 
 
 def lift_design(base: PointSet, t: int, r: float, root_tol: float = ROOT_RESIDUAL_TOL) -> PointSet:

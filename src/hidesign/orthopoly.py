@@ -73,17 +73,30 @@ class MinimumReport:
 def _recurrence(n: int, t: int, x: np.ndarray) -> Iterator[np.ndarray]:
     """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
     Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0),
-    else the Gegenbauer C_k^lambda with lambda = (n-2)/2."""
+    else the Gegenbauer C_k^lambda with lambda = (n-2)/2.
+
+    Three buffers of x's shape rotate and are updated in place, in the
+    operation order of 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2}, then / k:
+    a yielded array is overwritten two steps later, so a caller may keep the
+    last two.  x itself is never written."""
     lam = (n - 2) / 2
-    prev, cur = np.ones_like(x), x if n == 2 else 2 * lam * x
+    prev, cur = np.ones_like(x), x.copy() if n == 2 else 2 * lam * x
     yield prev
     if t:
         yield cur
+    spare = np.empty_like(x)
     for k in range(2, t + 1):
         if n == 2:
-            prev, cur = cur, 2 * x * cur - prev
+            np.multiply(x, 2, out=spare)
+            spare *= cur
+            spare -= prev
         else:
-            prev, cur = cur, (2 * (k + lam - 1) * x * cur - (k + 2 * lam - 2) * prev) / k
+            np.multiply(x, 2 * (k + lam - 1), out=spare)
+            spare *= cur
+            prev *= k + 2 * lam - 2
+            spare -= prev
+            spare /= k
+        prev, cur, spare = cur, spare, prev
         yield cur
 
 

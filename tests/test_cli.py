@@ -195,6 +195,15 @@ class TestTight:
         code, out, _ = run(capsys, "tight", "--n", "4")
         assert code == 0 and "status: excluded" in out
 
+    @pytest.mark.parametrize("n, line", [
+        (7, "bound b = 12 = 12 (integer)"),  # the float is 12.000000000000002
+        (6, "bound b = 28/3 = 9.33333333333333 (not an integer)"),
+        (23, "bound b = 100 = 100 (integer)"),
+    ])
+    def test_bound_float_keeps_15_digits(self, capsys, n, line):
+        code, out, _ = run(capsys, "tight", "--n", str(n))
+        assert code == 0 and out.splitlines()[1] == line
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "tight", "--n", "71", "--format", "json")
         body = json.loads(out)

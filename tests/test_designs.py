@@ -96,7 +96,7 @@ def random_points(m: int, n: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-# more points than one Gram row block holds rows for
+# enough points for several upper-triangle Gram blocks
 MULTI_BLOCK_M = 2 * math.isqrt(designs._GRAM_BLOCK)
 
 
@@ -117,6 +117,19 @@ class TestDistinctness:
         pts = random_points(m, 3)
         pts[m - 1] = pts[0]
         with pytest.raises(InvalidPointSetError, match=f"distinct.*points 0 and {m - 1} "):
+            PointSet(3, pts)
+
+    @pytest.mark.parametrize("where", ["leading square", "last block"])
+    def test_duplicate_inside_a_block(self, where):
+        m = MULTI_BLOCK_M
+        pts = random_points(m, 3)
+        starts = [i for i, _ in designs._gram_blocks(pts)] + [m]
+        assert len(starts) > 3
+        # rows i and j of one block: the pair sits in its leading square, in both orders
+        first, end = starts[1:3] if where == "leading square" else starts[-2:]
+        i, j = first + 1, end - 1
+        pts[i] = pts[j]
+        with pytest.raises(InvalidPointSetError, match=f"distinct.*points {i} and {j} "):
             PointSet(3, pts)
 
     def test_large_random_set_accepted(self):
@@ -236,6 +249,41 @@ class TestVerification:
                 scale = dim_harmonic(n, k) / math.comb(k + n - 3, k)
                 ref = float(eval_gegenbauer(k, (n - 2) / 2, gram).sum()) * scale
             assert abs(raw - ref) <= 1e-12 * m * m * dim_harmonic(n, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, MULTI_BLOCK_M + 1])
+    def test_block_boundaries_against_full_gram(self, m, n):
+        # one block up to m = isqrt(_GRAM_BLOCK); several past it, the last
+        # ones holding fewer rows than their leading square allows
+        t = 6
+        X = PointSet(n, random_points(m, n, seed=m + n))
+        gram = np.clip(X.gram(), -1.0, 1.0)
+        for k, raw in zip(range(1, t + 1), verify_spherical_design(X, t).raw_sums):
+            if n == 2:
+                ref = float((2 * np.cos(k * np.arccos(gram))).sum())
+            else:
+                scale = dim_harmonic(n, k) / math.comb(k + n - 3, k)
+                ref = float(eval_gegenbauer(k, (n - 2) / 2, gram).sum()) * scale
+            assert abs(raw - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_caller_arrays_unchanged(self, n):
+        pts = random_points(MULTI_BLOCK_M + 1, n, seed=n)
+        before = pts.copy()
+        X = PointSet(n, pts)
+        verify_spherical_design(X, 7)
+        inner_product_set(X)
+        assert np.array_equal(pts, before)
+
+    @pytest.mark.parametrize("base, t", [(generate("regular_polygon", m=5), 4),
+                                         (generate("cell600_half"), 2)])
+    def test_lift_leaves_radius_unchanged(self, base, t):
+        root = q_roots(KernelSpec(base.dim + 1, t))[-1]
+        for r in (np.array(root), np.array([root])[0]):
+            before = np.copy(r)
+            lifted = lift_design(base, t, r)
+            assert np.array_equal(r, before)
+            assert np.all(lifted.points[:, 0] == root)
 
     def test_memory_stays_bounded_in_blocks(self):
         # one m x m float64 array at m = 2000 is 32 MB
@@ -399,6 +447,19 @@ class TestInnerProductsAgainstLoop:
     def test_single_point(self):
         ips = inner_product_set(PointSet(2, [[1.0, 0.0]]))
         assert (ips.values, ips.multiplicities, ips.symmetric) == ((), (), True)
+
+    def test_two_thousand_points_memory(self):
+        # forming the m x m Gram and its two triu index arrays peaked at 206 MB;
+        # the output alone (about 2e6 distinct float centers) takes 79 MB
+        X = PointSet(4, random_points(2000, 4, seed=7))
+        tracemalloc.start()
+        try:
+            ips = inner_product_set(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(ips.multiplicities) == 2000 * 1999 // 2
+        assert peak <= 103e6
 
     def test_two_thousand_points_under_two_seconds(self):
         pts = random_points(2000, 4, seed=7)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -16,6 +17,7 @@ from hidesign.orthopoly import (
     q_eval,
     q_min,
     q_roots,
+    _recurrence,
 )
 
 
@@ -106,6 +108,54 @@ class TestQEval:
         spec = KernelSpec(4, 7)
         xs = np.linspace(-1, 1, 9)
         np.testing.assert_allclose(q_eval(spec, xs), [q_eval(spec, float(x)) for x in xs])
+
+
+class TestRecurrenceBuffers:
+    """The recurrence updates its buffers in place: inputs and results that
+    a caller holds must never change underneath it."""
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("x", [np.array(0.3), np.linspace(-1, 1, 7)], ids=["0-d", "1-d"])
+    def test_q_eval_leaves_input_unchanged(self, n, x):
+        before = x.copy()
+        for t in (0, 1, 2, 7):
+            q_eval(KernelSpec(n, t), x)
+            assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_q_eval_result_survives_later_calls(self, n):
+        xs = np.linspace(-1, 1, 7)
+        first = q_eval(KernelSpec(n, 6), xs)
+        kept = first.copy()
+        q_eval(KernelSpec(n, 6), xs)
+        q_eval(KernelSpec(n, 9), -xs)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_q_roots_result_survives_later_calls(self, n):
+        roots = q_roots(KernelSpec(n, 8))
+        kept = roots.copy()
+        q_roots(KernelSpec(n, 8))
+        q_roots(KernelSpec(n, 11))
+        assert np.array_equal(roots, kept)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 8])
+    def test_last_two_yields_are_distinct_and_intact(self, n, t):
+        x = np.linspace(-1, 1, 11)
+        before = x.copy()
+        prev, cur = deque(_recurrence(n, t, x), maxlen=2)
+        assert prev is not cur and cur is not x and prev is not x
+        assert np.array_equal(x, before)
+        # P_{t-1} and P_t, checked against independent evaluations
+        lam = (n - 2) / 2
+        if n == 2:
+            want = [np.cos(k * np.arccos(x)) for k in (t - 1, t)]
+        else:
+            from scipy.special import eval_gegenbauer
+            want = [eval_gegenbauer(k, lam, x) for k in (t - 1, t)]
+        np.testing.assert_allclose(prev, want[0], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(cur, want[1], rtol=1e-13, atol=1e-13)
 
 
 class TestQRoots:

@@ -29,7 +29,8 @@ INPUTS = {
     "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
     "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
 }
-MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half")]
+MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half"),
+        ("poly300.json", "regular-polygon --m 300")]
 
 CASES = [  # (argv, extra environment)
     ("table --n 3..4 --t 5", {}),
@@ -53,12 +54,17 @@ CASES = [  # (argv, extra environment)
     ("verify --in ico.json --t 6", {}),
     ("verify --in ico.json --t 8 --format json", {}),
     ("verify --in pent.json --t 4 --spherical", {}),
+    # several Gram blocks on the circle's Chebyshev branch
+    ("verify --in poly300.json --t 299 --spherical", {}),
+    ("verify --in poly300.json --t 299 --spherical --format json", {}),
     ("asymptote --n 7", {}),
     ("asymptote --n 4 --format json", {}),
     ("asymptote --n 9 --out a.txt", {}),
     ("asymptote --n 9 --format json --out a.json", {}),
     ("tight --n 23", {}),
     ("tight --n 4", {}),
+    ("tight --n 6", {}),
+    ("tight --n 7", {}),
     ("tight --n 71 --format json", {}),
     ("tight --n 7 --out tight.txt", {}),
     ("tight --n 8 --format json --out tight.json", {}),
