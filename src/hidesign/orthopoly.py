@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 ROOT_RESIDUAL_TOL = 1e-9  # |Q(root)| below this multiple of Q(1)
-ROOT_GRID_DOUBLINGS = 4  # bracketing grids tried after the first, each twice as fine
-BESSEL_SCAN_STEP = 1e-2  # smaller than the spacing of low-order Bessel zeros
 
 
 def dim_harmonic(n: int, t: int) -> int:
@@ -122,49 +120,59 @@ def q_eval(spec: KernelSpec, x):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def q_roots(spec: KernelSpec) -> np.ndarray:
-    """All t roots of Q_{n,t}, ascending, inside (-1, 1), with no eigen-solver.
-
-    One recurrence pass on a grid uniform in arccos x and symmetric about 0
-    brackets the roots: t sign changes, counting exact zeros on the grid
-    (0 for odd t), certify one root per bracket; else the grid doubles, at
-    most ROOT_GRID_DOUBLINGS times, before a RuntimeError.  Newton's method
-    refines each bracket from its chord's zero, with the derivative from the
-    same pass, (1-x^2) P_t' = (t+2*lambda-1) P_{t-1} - t*x*P_t (t*(T_{t-1} -
-    x*T_t) for n = 2); a step leaving the bracket or not half the previous
-    one becomes a bisection, and a root is final when its step is <= 4 ulps.
-    """
-    n, t = spec.n, spec.t
-    if t < 1:
-        raise ValueError("root finding needs degree t >= 1")
-    size = int(t + (n - 2) / 2 + 1)
-    for _ in range(ROOT_GRID_DOUBLINGS + 1):
-        half = np.sin(np.linspace(0.0, pi / 2, size + 1))
-        grid = np.concatenate([-half[:0:-1], half])
-        vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
-        sign = np.sign(vals)
-        cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if len(cross) + np.count_nonzero(vals == 0) == t:
-            break
-        size *= 2
-    else:
-        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points")
-    lo, hi, flo, fhi = grid[cross], grid[cross + 1], vals[cross], vals[cross + 1]
+def _polish(newton, lo, hi, flo, fhi) -> np.ndarray:
+    """Roots of f in brackets [lo, hi] (arrays, narrowed in place), f(lo) = flo
+    and f(hi) = fhi of opposite signs, by safeguarded Newton: newton(x) gives
+    f(x) and f(x)/f'(x); each root starts at its chord's zero (the midpoint on
+    overflow), a step leaving the bracket or not half the previous one becomes
+    a bisection, and a root is final when its step is <= 4 ulps."""
     x = lo + (hi - lo) * (flo / (flo - fhi))
-    x = np.where(np.isfinite(x), x, (lo + hi) / 2)  # the chord's zero, or the midpoint on overflow
+    x = np.where(np.isfinite(x), x, (lo + hi) / 2)
     moved, live = hi - lo, np.arange(len(x))
-    a = t if n == 2 else t + n - 3
     while len(live):  # ends: accepted steps halve, and each bisection halves the bracket
         xl = x[live]
-        prev, cur = deque(_recurrence(n, t, xl), maxlen=2)
-        below = np.sign(cur) == np.sign(flo[live])
+        f, step = newton(xl)
+        below = np.sign(f) == np.sign(flo[live])
         lo[live[below]], hi[live[~below]] = xl[below], xl[~below]
-        step = cur * (1 - xl * xl) / (a * prev - t * xl * cur)
         new, tiny = xl - step, 4 * np.spacing(np.abs(xl))
         keep = (lo[live] <= new) & (new <= hi[live]) & (np.abs(step) <= moved[live] / 2)
         new = np.where(keep | (np.abs(step) <= tiny), new, (lo[live] + hi[live]) / 2)
         moved[live], x[live] = np.abs(new - xl), new
         live = live[moved[live] > tiny]
+    return x
+
+
+def q_roots(spec: KernelSpec) -> np.ndarray:
+    """All t roots of Q_{n,t}, ascending, inside (-1, 1), with no eigen-solver.
+
+    One recurrence pass brackets the roots on a grid symmetric about 0 with
+    step pi/(2*floor(t+lambda+1)) in theta = arccos x, lambda = (n-2)/2: t sign
+    changes, counting exact zeros on the grid (0 for odd t).  The grid isolates
+    every root.  For n >= 4, Sturm comparison on sin(theta)^lambda
+    C_t^lambda(cos theta) puts roots at least pi/(t+lambda) apart, over twice
+    the step; for n = 3, Bruns' inequality gives gaps above pi/(2t+1), over
+    the step pi/(2t+2); for n = 2 the gap is pi/t.  So a wrong count means
+    lost precision and raises RuntimeError.  _polish refines each bracket,
+    with (1-x^2) P_t' = (t+2*lambda-1) P_{t-1} - t*x*P_t (t*(T_{t-1} - x*T_t)
+    for n = 2) from the same pass.
+    """
+    n, t = spec.n, spec.t
+    if t < 1:
+        raise ValueError("root finding needs degree t >= 1")
+    half = np.sin(np.linspace(0.0, pi / 2, int(t + (n - 2) / 2 + 1) + 1))
+    grid = np.concatenate([-half[:0:-1], half])
+    vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
+    cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    if len(cross) + np.count_nonzero(vals == 0) != t:
+        why = ": the recurrence overflowed float64" if not np.isfinite(vals).all() else ""
+        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points{why}")
+    a = t if n == 2 else t + n - 3
+
+    def newton(x):
+        prev, cur = deque(_recurrence(n, t, x), maxlen=2)
+        return cur, cur * (1 - x * x) / (a * prev - t * x * cur)
+
+    x = _polish(newton, grid[cross], grid[cross + 1], vals[cross], vals[cross + 1])
     return np.sort(np.concatenate([x, grid[vals == 0]]))
 
 
@@ -210,32 +218,25 @@ def bessel_j(alpha: float, z):
 
 
 def bessel_first_zero(alpha: float) -> float:
-    """First positive zero j_{alpha,1} of J_alpha, to better than 1e-9.
+    """First positive zero j_{alpha,1} of J_alpha, to about an ulp.
 
-    J_alpha is positive on (0, j_{alpha,1}) and j_{alpha,1} < alpha +
-    pi*(1+alpha) for the orders used here, so a sign-change scan from
-    z = alpha with step 1e-2 brackets the zero; bisection then refines it to
-    1e-13, or to adjacent floats for zeros above 512, where one ulp exceeds that.
+    J_alpha > 0 on (0, j_{alpha,1}); max(alpha, 1) < j_{alpha,1} < alpha +
+    2*alpha^(1/3) + 4 (by Qu and Wong's bound above order 1); and zeros are
+    at least j_{0,2} - j_{0,1} = 3.115 apart.  So a scan from max(alpha, 1) in
+    steps of 3 up to alpha + 2*alpha^(1/3) + 7 passes j_{alpha,1}, and its
+    first point with J_alpha <= 0 lies before j_{alpha,2}.  _polish refines
+    that bracket, with J_alpha' = (alpha/z) J_alpha - J_{alpha+1}.
     """
     from scipy.special import jv
     if alpha < 0 or not np.isfinite(alpha):
         raise ValueError(f"order must be finite and >= 0, got {alpha}")
-    start = max(alpha, BESSEL_SCAN_STEP)
-    grid = np.arange(start, alpha + pi * (1 + alpha) + BESSEL_SCAN_STEP, BESSEL_SCAN_STEP)
+    grid = np.arange(max(alpha, 1.0), alpha + 2 * alpha ** (1 / 3) + 7, 3.0)
     vals = jv(alpha, grid)
-    flips = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
-    if len(flips) == 0:
-        raise RuntimeError(f"no sign change of J_{alpha} in the scan window (window bug)")
-    i = flips[0]
-    lo, hi = grid[i], grid[i + 1]
-    flo = vals[i]
-    while hi - lo > 1e-13:
-        m = (lo + hi) / 2
-        if m in (lo, hi):
-            break
-        fm = jv(alpha, m)
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = m, fm
-        else:
-            hi = m
-    return (lo + hi) / 2
+    if not (i := int(np.argmax(vals <= 0))):  # J_alpha(max(alpha, 1)) > 0, so 0 means none is <= 0
+        raise RuntimeError(f"no sign change of J_{alpha} on [{grid[0]}, {grid[-1]}]: jv lost precision")
+
+    def newton(z):
+        j = jv(alpha, z)
+        return j, j / (alpha / z * j - jv(alpha + 1, z))
+
+    return float(_polish(newton, grid[[i - 1]], grid[[i]], vals[[i - 1]], vals[[i]])[0])

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .bounds import fisher_bound, tight_inner_product
+from .bounds import tight_inner_product
 from .exactnum import QuadExt, fraction_free_rank
 
 __all__ = [
@@ -208,10 +208,9 @@ def scan_graph_corpus(graphs: Iterable, b2: QuadExt, n: int) -> Iterator[ScanRec
     if (b2 - 1).sign() <= 0:
         raise ValueError(f"squared distance ratio must exceed 1, got {b2}")
     for idx, item in enumerate(graphs):
-        adj = item.adjacency if isinstance(item, TwoDistGraph) else item
         try:
-            g = TwoDistGraph(adj, b2)
-        except GraphFormatError as exc:
+            g = TwoDistGraph(item, b2)
+        except (TypeError, ValueError) as exc:  # GraphFormatError, or numpy's for a non-array
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
         res = es_embeddable(g, n)
         yield ScanRecord(idx, g.vertex_count, res.rank, res.embeddable)
@@ -282,7 +281,7 @@ def read_adjacency_json(text: str) -> Iterator[np.ndarray]:
     for idx, adj in enumerate(body):
         try:
             yield _check_adjacency(adj)
-        except GraphFormatError as exc:
+        except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
 
 
@@ -360,7 +359,6 @@ def tightness_dossier(n: int) -> TightnessDossier:
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     t = 4
-    report = fisher_bound(n, t)
     b_exact = Fraction((n + 1) * (n + 2), 6)
     integral = n % 3 != 0
     alpha = tight_inner_product(n)
@@ -469,7 +467,7 @@ def tightness_dossier(n: int) -> TightnessDossier:
     return TightnessDossier(
         n=n,
         t=t,
-        b=report.b,
+        b=float(b_exact),
         b_exact=b_exact,
         integral=integral,
         alpha=alpha,

@@ -203,6 +203,18 @@ class TestQRoots:
             assert len(roots) == t and roots[t // 2] == 0.0
             np.testing.assert_array_equal(roots, -roots[::-1])
 
+    def test_first_grid_isolates_every_root(self):
+        # q_roots has one bracketing grid and raises when it does not show t roots
+        for n in range(2, 61):
+            for t in range(1, 121):
+                roots = q_roots(KernelSpec(n, t))
+                assert len(roots) == t and np.all(np.diff(roots) > 0), (n, t)
+
+    def test_overflow_is_an_error_naming_the_kernel(self):
+        with np.errstate(all="ignore"), pytest.raises(
+                RuntimeError, match=r"roots of Q_\{402,1000\} .*overflowed float64"):
+            q_roots(KernelSpec(402, 1000))
+
 
 def mp_kernel(n: int, t: int, x):
     """P_t(x) at mpmath precision, with the recurrence written out again here:
@@ -373,16 +385,25 @@ class TestBessel:
             lhs = ((z + h) * bessel_j(1.0, z + h) - (z - h) * bessel_j(1.0, z - h)) / (2 * h)
             assert lhs == pytest.approx(z * bessel_j(0.0, z), rel=1e-7, abs=1e-8)
 
+    def test_first_zeros_against_mpmath(self):
+        import mpmath as mp
 
-    def test_first_zeros_pinned(self):
-        # values of the absolute 1e-13 bisection, which the large-order stop leaves as they were
-        assert [bessel_first_zero(a) for a in (0.0, 0.5, 1.0, 3.5, 7.0, 10.5)] == [
-            2.4048255576957667, 3.1415926535897993, 3.8317059702075165,
-            6.987932000500549, 11.086370019245102, 15.033469303743416]
+        with mp.workdps(30):
+            for alpha in (0.0, 0.5, 1.0, 3.0, 3.5, 7.0, 10.5, 50.0, 159.5):
+                z = bessel_first_zero(alpha)
+                exact = mp.besseljzero(mp.mpf(alpha), 1)
+                assert abs(mp.mpf(z) - exact) <= math.ulp(z), (alpha, z)
+
+    def test_first_zero_at_order_1000_takes_few_points(self, monkeypatch):
+        import scipy.special
+
+        jv, points = scipy.special.jv, []
+        monkeypatch.setattr(scipy.special, "jv", lambda a, z: points.append(np.size(z)) or jv(a, z))
+        bessel_first_zero(1000.0)
+        assert 0 < sum(points) < 100
 
     @pytest.mark.parametrize("alpha", [499.5, 1000.0])
     def test_first_zero_at_large_order_ends_at_a_sign_change(self, alpha):
-        # above 512 one ulp exceeds 1e-13: bisection stops at adjacent floats
         from scipy.special import jv
 
         z = bessel_first_zero(alpha)

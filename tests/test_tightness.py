@@ -1,6 +1,7 @@
 """Musin reduction, LRS integrality, Einhorn-Schoenberg rank test, dossiers."""
 
 import inspect
+import json
 from fractions import Fraction
 
 import networkx as nx
@@ -199,6 +200,17 @@ class TestScan:
         with pytest.raises(GraphFormatError, match="graph #1: .*got 1"):
             next(scan)
 
+    @pytest.mark.parametrize("item", [
+        TwoDistGraph(SQUARE_DIAGONALS, QuadExt(3)),  # carries its own b2; not an adjacency
+        [[0, 1], [1]],
+        None,
+    ], ids=["TwoDistGraph", "ragged", "None"])
+    def test_non_array_item_reports_index(self, item):
+        scan = scan_graph_corpus([SQUARE_DIAGONALS, item], QuadExt(2), 3)
+        assert next(scan).index == 0
+        with pytest.raises(GraphFormatError, match=r"graph #1: "):
+            next(scan)
+
     def test_each_adjacency_checked_once(self, monkeypatch):
         calls = []
         check = tightness._check_adjacency
@@ -280,6 +292,9 @@ class TestGraphIO:
             list(read_adjacency_json("[[[0,2],[2,0]]]"))
         with pytest.raises(GraphFormatError, match="JSON"):
             list(read_adjacency_json("nope"))
+        for bad in ('[[[0,1],[1,0]], [[0,1],[1]]]', '[[[0,1],[1,0]], null]'):  # ragged, not an array
+            with pytest.raises(GraphFormatError, match="graph #1: "):
+                list(read_adjacency_json(bad))
 
 
 class TestDossier:
@@ -342,6 +357,12 @@ class TestDossier:
             assert d.integral == fisher_bound(n, 4).integral
             excluded_by_integrality = d.verdicts[0].status == "fail"
             assert excluded_by_integrality == (not fisher_bound(n, 4).integral)
+
+    def test_b_is_the_exact_bound_as_a_float(self):
+        for n in range(2, 41):
+            d = tightness_dossier(n)
+            assert d.b_exact == Fraction((n + 1) * (n + 2), 6)
+            assert json.loads(json.dumps(d.as_dict()))["b"] == float(d.b_exact)
 
     def test_literature_table_contents(self):
         cap, citation = EQUIANGULAR_LINE_MAX[Fraction(1, 3)]

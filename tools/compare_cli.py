@@ -61,6 +61,11 @@ CASES = [  # (argv, extra environment)
     ("asymptote --n 4 --format json", {}),
     ("asymptote --n 9 --out a.txt", {}),
     ("asymptote --n 9 --format json --out a.json", {}),
+    # large Bessel orders: j1 at order 49.5 and 159.5
+    ("asymptote --n 100", {}),
+    ("asymptote --n 100 --format json", {}),
+    ("asymptote --n 320", {}),
+    ("asymptote --n 320 --format json", {}),
     ("tight --n 23", {}),
     ("tight --n 4", {}),
     ("tight --n 6", {}),
