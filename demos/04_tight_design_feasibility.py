@@ -2,9 +2,10 @@
 
 A design of exactly that size has inner products +-sqrt(3/(n+4)) and is a
 2-distance set, which makes several exact necessary conditions available:
-integrality of the bound, the one-point sphere reduction, the
-Larman-Rogers-Seidel integrality of the squared distance ratio, equiangular
-line counts, and the Einhorn-Schoenberg rank test on candidate graphs.
+integrality of the bound, the degree-3 Delsarte bound on the one-point
+sphere reduction, the Larman-Rogers-Seidel integrality of the squared
+distance ratio, the absolute bound on equiangular lines, and the
+Einhorn-Schoenberg rank test on candidate graphs.
 """
 
 import networkx as nx
@@ -30,12 +31,27 @@ for n in range(2, 31):
     print(f"{n:>3} {str(d.b_exact):>8} {str(d.alpha):>12} {k:>4} {p:>4}  {d.status} ({deciding})")
 
 print()
-print("Only n = 2 admits one (two points on the circle); every other")
-print("dimension up to 30 is excluded, and the first open case is the")
-print("p = 5 family member n = 71:")
+print("Only n = 2 admits one (two points on the circle).  Every other")
+print("dimension is excluded: by integrality when 3 divides n, else by the")
+print("reduced Delsarte bound.  The dimensions")
+print("n = 3p^2-4 with odd p >= 3 pass every other test; p = 5 gives n = 71,")
+print("excluded by this certificate:")
 d71 = tightness_dossier(71)
+v71 = next(v for v in d71.verdicts if v.criterion == "delsarte-reduced")
 print(f"  n=71: status {d71.status}, k={d71.lrs_k}, p={d71.p}, "
       f"needs {d71.min_lines} equiangular lines (absolute bound {d71.absolute_bound})")
+print(f"  [{v71.status:>12}] {v71.criterion}: {v71.note}")
+print()
+print("For n = 3p^2-4 (alpha = 1/p) the bound has the closed form")
+print("1 + (p+1)^2 (p^2-2)/2, which is p(p-1)(p^2-2) below b - 1:")
+print(f"{'p':>4} {'n':>6} {'bound':>8} {'b - 1':>8} {'gap':>8}")
+for p in range(2, 12):
+    n = 3 * p * p - 4
+    d = tightness_dossier(n)
+    closed = 1 + (p + 1) ** 2 * (p * p - 2) // 2
+    assert d.delsarte_bound == closed and d.b_exact - 1 - closed == p * (p - 1) * (p * p - 2)
+    print(f"{p:>4} {n:>6} {str(d.delsarte_bound):>8} {str(d.b_exact - 1):>8} "
+          f"{str(d.b_exact - 1 - closed):>8}  {d.status}")
 
 print()
 print("=" * 72)

@@ -272,7 +272,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_BADINPUT
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # every package error type is a ValueError
+    # every package error type is a ValueError; a RuntimeError reports a float
+    # computation that cannot finish, such as a kernel recurrence overflowing
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADINPUT
 

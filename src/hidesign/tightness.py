@@ -3,9 +3,11 @@
 A design meeting the Fisher-type bound has exactly two inner products
 +-alpha with alpha = sqrt(3/(n+4)), hence is a 2-distance set; this module
 implements the exact necessary conditions that rule such sets out: the
-one-point sphere reduction of the inner products, the Larman-Rogers-Seidel
-integrality of the squared distance ratio, and the Einhorn-Schoenberg rank
-test for isometric embeddability of a candidate 2-distance graph.
+one-point sphere reduction of the inner products and the degree-3 Delsarte
+linear-programming bound on the reduced set, which decides every n >= 3,
+the Larman-Rogers-Seidel integrality of the squared distance ratio, and the
+Einhorn-Schoenberg rank test for isometric embeddability of a candidate
+2-distance graph.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "scan_graph_corpus",
     "read_graph6",
     "read_adjacency_json",
-    "EQUIANGULAR_LINE_MAX",
     "Verdict",
     "TightnessDossier",
     "tightness_dossier",
@@ -285,13 +286,6 @@ def read_adjacency_json(text: str) -> Iterator[np.ndarray]:
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
 
 
-# Known maxima for equiangular line systems at a fixed rational inner
-# product; recorded from the literature, never recomputed here.
-EQUIANGULAR_LINE_MAX: dict[Fraction, tuple[int, str]] = {
-    Fraction(1, 3): (44, "Lemmens-Seidel 1973: at most 44 equiangular lines at angle arccos(1/3) in any dimension >= 15"),
-}
-
-
 @dataclass(frozen=True)
 class Verdict:
     criterion: str
@@ -305,7 +299,9 @@ class Verdict:
 @dataclass(frozen=True)
 class TightnessDossier:
     """Everything the implemented criteria say about a minimum-size degree-4
-    design on S^(n-1).  ``status`` is "exists", "excluded", or "open"."""
+    design on S^(n-1).  ``status`` is "exists", "excluded", or "open";
+    ``delsarte_bound`` is the reduced-set bound 1 + y of the
+    "delsarte-reduced" verdict, None where that verdict does not run."""
 
     n: int
     t: int
@@ -319,11 +315,12 @@ class TightnessDossier:
     p: Optional[int]
     absolute_bound: int
     min_lines: Optional[int]
+    delsarte_bound: Optional[QuadExt]
     verdicts: tuple[Verdict, ...]
     status: str
 
     def as_dict(self) -> dict:
-        return {
+        body = {
             "n": self.n,
             "t": self.t,
             "b": self.b,
@@ -336,22 +333,11 @@ class TightnessDossier:
             "p": self.p,
             "absolute_bound": self.absolute_bound,
             "min_lines": self.min_lines,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "status": self.status,
         }
-
-
-# Exclusions established by exhaustive 2-distance graph searches (9- and
-# 10-vertex corpora); recorded with their parameters, not recomputed.
-_RECORDED_SEARCH_NOTES = {
-    7: "recorded: no 10-point 2-distance set with ratio (7+sqrt(33))/4 embeds in R^7 "
-       "(9-vertex graph scan plus extension), so 12 points cannot exist",
-    8: "recorded: no 10-point 2-distance set with squared ratio 3 embeds in R^8, "
-       "so 15 points cannot exist",
-    10: "recorded: after the one-point reduction and a pigeonhole split into "
-        "latitude circles, no admissible 10-point 2-distance set embeds in R^8, "
-        "so 22 points cannot exist",
-}
+        if self.delsarte_bound is not None:  # left out when None: 3 | n serializes as before
+            body["delsarte_bound"] = str(self.delsarte_bound)
+        body.update(verdicts=[v.as_dict() for v in self.verdicts], status=self.status)
+        return body
 
 
 def tightness_dossier(n: int) -> TightnessDossier:
@@ -369,6 +355,7 @@ def tightness_dossier(n: int) -> TightnessDossier:
     lrs_k: Optional[int] = None
     p: Optional[int] = None
     min_lines: Optional[int] = None
+    delsarte_bound: Optional[QuadExt] = None
     exists = False
 
     verdicts.append(Verdict(
@@ -388,34 +375,34 @@ def tightness_dossier(n: int) -> TightnessDossier:
                 "two points at angle pi/4 meet the bound b = 2",
             ))
 
-        red = musin_reduce(alpha)
-        if red.only_plus:
-            # one-point reduction leaves N-1 points with a single positive
-            # inner product; their Gram matrix has full rank, certified here
-            # by exact elimination, so N-1 <= n-1 is forced
-            m = int(b_exact) - 1
-            gram = [
-                [QuadExt(1) if i == j else red.plus for j in range(m)]
-                for i in range(m)
-            ]
-            rank = fraction_free_rank(gram)
-            ok = rank <= n - 1
-            verdicts.append(Verdict(
-                "musin-gram-rank",
-                "pass" if ok else "fail",
-                f"reduction to {m} points on S^{n-3} with single inner product "
-                f"{red.plus}; exact Gram rank {rank} vs dimension {n - 1}",
-            ))
-        elif n > 2:
-            verdicts.append(Verdict(
-                "musin-gram-rank",
-                "inapplicable",
-                f"alpha = {alpha} <= 1/2, reduction keeps two inner products "
-                f"({red.plus}, {red.minus})",
-            ))
-
-        if n in _RECORDED_SEARCH_NOTES:
-            verdicts.append(Verdict("recorded-search", "fail", _RECORDED_SEARCH_NOTES[n]))
+        if n >= 3:
+            # Delsarte-Goethals-Seidel (1977) on the one-point reduction: the
+            # b-1 reduced points on S^(n-2) have inner products in V, so
+            # f = 1 + y*P_3 with f <= 0 on V bounds their number by f(1) = 1 + y
+            red = musin_reduce(alpha)
+            V = [red.plus] if red.only_plus else [red.plus, red.minus]
+            m = n - 1  # P_3 is the degree-3 Gegenbauer polynomial on R^m, P_3(1) = 1
+            p3 = [((m + 2) * v * v * v - 3 * v) / (m - 1) for v in V]
+            reduced = (f"{int(b_exact) - 1} points on S^{n - 2} with inner products "
+                       f"{', '.join(map(str, V))}")
+            # P_3(x) < 0 iff (m+2)x^2 < 3 for x > 0, > 3 for x < 0.  With
+            # alpha^2 = 3/(m+5) both hold for every m: plus < alpha, and for
+            # minus the condition reduces to alpha^2 < alpha.  The check below
+            # only guards the certificate's premise.
+            if all(x.sign() < 0 for x in p3):
+                delsarte_bound = 1 + max(-1 / x for x in p3)
+                verdicts.append(Verdict(
+                    "delsarte-reduced",
+                    "fail" if (delsarte_bound - (b_exact - 1)).sign() < 0 else "pass",
+                    f"reduction to {reduced}; the degree-3 Delsarte bound allows "
+                    f"at most {delsarte_bound} of them, against b - 1 = {b_exact - 1}",
+                ))
+            else:
+                verdicts.append(Verdict(
+                    "delsarte-reduced",
+                    "inapplicable",
+                    f"reduction to {reduced}; P_3 is not negative at every one",
+                ))
 
         lrs_applicable = b_exact > 2 * n + 3
         if lrs_applicable:
@@ -448,15 +435,6 @@ def tightness_dossier(n: int) -> TightnessDossier:
             f"lines; the absolute bound in R^{n} is {absolute_bound}",
         ))
 
-        if alpha.is_rational and alpha.as_fraction() in EQUIANGULAR_LINE_MAX:
-            cap, citation = EQUIANGULAR_LINE_MAX[alpha.as_fraction()]
-            verdicts.append(Verdict(
-                "equiangular-line-count",
-                "fail" if min_lines > cap else "pass",
-                f"needs {min_lines} lines at inner product {alpha}, known maximum "
-                f"is {cap} ({citation})",
-            ))
-
     if exists:
         status = "exists"
     elif any(v.status == "fail" for v in verdicts):
@@ -477,6 +455,7 @@ def tightness_dossier(n: int) -> TightnessDossier:
         p=p,
         absolute_bound=absolute_bound,
         min_lines=min_lines,
+        delsarte_bound=delsarte_bound,
         verdicts=tuple(verdicts),
         status=status,
     )

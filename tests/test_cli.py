@@ -55,6 +55,14 @@ class TestTable:
         assert code == 2
         assert "error" in err
 
+    def test_overflowing_kernel_exits_2(self, capsys):
+        # the recurrence for Q_{402,1000} overflows float64, so q_roots raises RuntimeError
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "table", "--n", "400", "--t", "1001")
+        assert code == 2 and out == ""
+        assert err.startswith("error: could not isolate the 1000 roots of Q_{402,1000}")
+        assert "overflowed float64" in err
+
     def test_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "table", "--n", "3..4", "--t", "4..8", "--format", "json")
         code2, out2, _ = run(capsys, "table", "--n", "3..4", "--t", "4..8", "--format", "json")
@@ -189,7 +197,7 @@ class TestTight:
     def test_n23(self, capsys):
         code, out, _ = run(capsys, "tight", "--n", "23")
         assert code == 0
-        assert "p = 3" in out and "44" in out and "status: excluded" in out
+        assert "p = 3" in out and "at most 57 of them" in out and "status: excluded" in out
 
     def test_n4(self, capsys):
         code, out, _ = run(capsys, "tight", "--n", "4")
@@ -207,7 +215,8 @@ class TestTight:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "tight", "--n", "71", "--format", "json")
         body = json.loads(out)
-        assert code == 0 and body["status"] == "open" and body["p"] == 5
+        assert code == 0 and body["status"] == "excluded" and body["p"] == 5
+        assert body["delsarte_bound"] == "415"
 
 
 class TestEmbed:

@@ -1,4 +1,5 @@
-"""Musin reduction, LRS integrality, Einhorn-Schoenberg rank test, dossiers."""
+"""Musin reduction, LRS integrality, Einhorn-Schoenberg rank test, dossiers
+and their reduced Delsarte certificates."""
 
 import inspect
 import json
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from hidesign import tightness
+from hidesign.bounds import tight_inner_product
 from hidesign.exactnum import QuadExt, fraction_free_rank
 from hidesign.tightness import (
-    EQUIANGULAR_LINE_MAX,
     GraphFormatError,
     TwoDistGraph,
     es_embeddable,
@@ -298,15 +299,13 @@ class TestGraphIO:
 
 
 class TestDossier:
-    def test_n23_excluded_by_line_count(self):
+    def test_n23_excluded_by_delsarte_bound(self):
         d = tightness_dossier(23)
         assert d.status == "excluded"
         assert d.lrs_k == 2 and d.p == 3
         assert d.min_lines == 51
         assert d.alpha.as_fraction() == Fraction(1, 3)
-        line_verdicts = [v for v in d.verdicts if v.criterion == "equiangular-line-count"]
-        assert len(line_verdicts) == 1 and line_verdicts[0].status == "fail"
-        assert "44" in line_verdicts[0].note
+        assert_delsarte_fail(d, "57")
 
     def test_n6_excluded_by_integrality(self):
         d = tightness_dossier(6)
@@ -321,18 +320,13 @@ class TestDossier:
         assert d.lrs_applicable and d.lrs_k is None
         assert any(v.criterion == "lrs-integrality" and v.status == "fail" for v in d.verdicts)
 
-    def test_n4_n5_n7_excluded_by_reduction_rank(self):
-        for n in (4, 5, 7):
-            d = tightness_dossier(n)
-            assert d.status == "excluded"
-            v = next(v for v in d.verdicts if v.criterion == "musin-gram-rank")
-            assert v.status == "fail"
+    def test_n4_n5_n7_excluded_by_delsarte_bound(self):
+        for n, bound in [(4, "20/9 + 4/9√6"), (5, "3 + √3"), (7, "44/9 + 5/9√33")]:
+            assert_delsarte_fail(tightness_dossier(n), bound)
 
-    def test_n8_n10_recorded_exclusions(self):
-        for n in (8, 10):
-            d = tightness_dossier(n)
-            assert d.status == "excluded"
-            assert any(v.criterion == "recorded-search" for v in d.verdicts)
+    def test_n8_n10_excluded_by_delsarte_bound(self):
+        for n, bound in [(8, "10"), (10, "77/9 + 8/9√42")]:
+            assert_delsarte_fail(tightness_dossier(n), bound)
 
     def test_n8_ratio_is_three(self):
         assert tightness_dossier(8).two_distance_ratio_sq == 3
@@ -344,10 +338,10 @@ class TestDossier:
         d = tightness_dossier(2)
         assert d.status == "exists"
 
-    def test_p5_remains_open(self):
+    def test_p5_excluded_by_delsarte_bound(self):
         d = tightness_dossier(71)
-        assert d.status == "open"
         assert d.lrs_k == 3 and d.p == 5
+        assert_delsarte_fail(d, "415")
 
     def test_integrality_agrees_with_bound_table(self):
         from hidesign.bounds import fisher_bound
@@ -364,15 +358,100 @@ class TestDossier:
             assert d.b_exact == Fraction((n + 1) * (n + 2), 6)
             assert json.loads(json.dumps(d.as_dict()))["b"] == float(d.b_exact)
 
-    def test_literature_table_contents(self):
-        cap, citation = EQUIANGULAR_LINE_MAX[Fraction(1, 3)]
-        assert cap == 44 and "Lemmens" in citation
+    def test_every_n_up_to_400_decided(self):
+        statuses = {n: tightness_dossier(n).status for n in range(2, 401)}
+        assert statuses.pop(2) == "exists"
+        assert set(statuses.values()) == {"excluded"}
+
+    def test_non_integral_dossier_has_no_delsarte_bound(self):
+        d = tightness_dossier(6)
+        assert d.delsarte_bound is None and "delsarte_bound" not in d.as_dict()
+        assert [v.criterion for v in d.verdicts] == ["cardinality-integrality"]
+
+
+def assert_delsarte_fail(d, bound: str):
+    """The dossier is excluded by a failing delsarte-reduced verdict whose
+    bound is exactly ``bound`` and names it and b - 1 in its note."""
+    assert d.status == "excluded"
+    (v,) = [v for v in d.verdicts if v.criterion == "delsarte-reduced"]
+    assert v.status == "fail"
+    assert d.delsarte_bound == QuadExt.parse(bound) and str(d.delsarte_bound) == bound
+    assert f"at most {bound} of them, against b - 1 = {d.b_exact - 1}" in v.note
+
+
+def gegenbauer3(m: int, x: QuadExt) -> QuadExt:
+    """C_3^(lam)(x) / C_3^(lam)(1) with lam = (m-2)/2: the degree-3 Gegenbauer
+    polynomial on R^m, from the three-term recurrence
+    k C_k = 2(k+lam-1) x C_(k-1) - (k+2lam-2) C_(k-2)."""
+    lam = Fraction(m - 2, 2)
+
+    def c3(x):
+        c0, c1 = QuadExt(1), 2 * lam * x
+        c2 = (2 * (1 + lam) * x * c1 - 2 * lam * c0) / 2
+        return (2 * (2 + lam) * x * c2 - (1 + 2 * lam) * c1) / 3
+
+    return c3(x) / c3(QuadExt(1))
+
+
+class TestDelsarteCertificate:
+    """The delsarte-reduced bound, replayed outside ``tightness``."""
+
+    INTEGRAL_N = [n for n in range(4, 401) if n % 3]
+
+    def test_json_bound_replays_with_exactnum_alone(self):
+        for n in self.INTEGRAL_N:
+            body = json.loads(json.dumps(tightness_dossier(n).as_dict()))
+            bound = QuadExt.parse(body["delsarte_bound"])
+            red = musin_reduce(QuadExt.parse(body["alpha"]))
+            # inner products below -1 cannot occur on the reduced sphere
+            values = [gegenbauer3(n - 1, v) for v in (red.plus, red.minus) if v >= -1]
+            assert all(x < 0 for x in values)
+            assert bound == 1 + max(-1 / x for x in values)
+            assert bound < Fraction(body["b_exact"]) - 1
+
+    def test_p_family_closed_form(self):
+        import sympy as sp
+
+        p = sp.symbols("p", positive=True)
+        m = 3 * p**2 - 5  # n = 3p^2 - 4 has alpha = 1/p and reduces to R^(n-1)
+        b = (m + 2) * (m + 3) / 6
+        P3 = lambda x: ((m + 2) * x**3 - 3 * x) / (m - 1)
+        plus, minus = 1 / (p + 1), -1 / (p - 1)
+
+        def same(x, y):
+            return sp.simplify(x - y) == 0
+
+        assert same(P3(plus), -2 / ((p + 1)**2 * (p**2 - 2)))
+        assert same(P3(minus), -2 / ((p - 1)**2 * (p**2 - 2)))
+        y_plus, y_minus = -1 / P3(plus), -1 / P3(minus)
+        # y_plus - y_minus = 2p(p^2-2) > 0 for p >= 2, so y = y_plus
+        assert same(y_plus - y_minus, 2 * p * (p**2 - 2))
+        assert same(1 + y_plus, 1 + (p + 1)**2 * (p**2 - 2) / 2)
+        assert same((b - 1) - (1 + y_plus), p * (p - 1) * (p**2 - 2))
+        for q in (2, 3, 5, 7, 9, 11):
+            d = tightness_dossier(3 * q * q - 4)
+            assert d.delsarte_bound == 1 + (q + 1)**2 * (q * q - 2) // 2
+
+    def test_float_lp_up_to_degree_40_agrees(self):
+        from scipy.optimize import linprog
+        from scipy.special import eval_gegenbauer
+
+        ks = np.arange(1, 41)
+        for n in self.INTEGRAL_N:
+            red = musin_reduce(tight_inner_product(n))
+            V = [float(red.plus)] if red.only_plus else [float(red.plus), float(red.minus)]
+            lam = (n - 3) / 2  # Gegenbauer parameter on R^(n-1)
+            rows = [eval_gegenbauer(ks, lam, v) / eval_gegenbauer(ks, lam, 1.0) for v in V]
+            # minimize f(1) = 1 + sum f_k subject to f(v) <= 0 on V and f_k >= 0
+            res = linprog(np.ones(ks.size), A_ub=np.array(rows), b_ub=-np.ones(len(V)),
+                          bounds=(0, None), method="highs")
+            assert res.status == 0, (n, res.message)
+            bound = float(tightness_dossier(n).delsarte_bound)
+            assert abs(1 + res.fun - bound) <= 1e-9 * bound, n
 
 
 class TestLRSClassification:
     def test_equivalence_up_to_ten_thousand(self):
-        from hidesign.bounds import tight_inner_product
-
         odd_p_dims = {3 * p * p - 4 for p in range(3, 60, 2) if 3 * p * p - 4 <= 10_000}
         for n in range(11, 10_001):
             k = lrs_check(tight_inner_product(n))

@@ -73,6 +73,9 @@ CASES = [  # (argv, extra environment)
     ("tight --n 71 --format json", {}),
     ("tight --n 7 --out tight.txt", {}),
     ("tight --n 8 --format json --out tight.json", {}),
+    ("tight --n 5", {}),
+    ("tight --n 10", {}),
+    ("tight --n 143 --format json", {}),
     ("embed --graphs g4.g6 --b2 2 --n 2", {}),
     ("embed --graphs g4.g6 --b2 (7+√33)/4 --n 7", {}),
     ("embed --graphs g4.g6 --b2 2 --n 3 --out scan.ndjson", {}),
@@ -110,6 +113,7 @@ CASES = [  # (argv, extra environment)
     ("table --n 3..5 --t 4..6 --truncate 0", {}),
     ("asymptote --n 321 --format json", {}),
     ("asymptote --n 400", {}),
+    ("table --n 400 --t 1001", {}),
 ]
 
 
