@@ -2,15 +2,16 @@
 
 Rationals (``fractions.Fraction``), real quadratic extensions Q(sqrt(d)),
 univariate polynomials over Q with Sturm-sequence root counting, and exact
-matrix rank via fraction-free elimination.  Everything in this module is
-immutable and pure; no floating point is used except in explicit ``float()``
-conversions.
+matrix rank over Q(sqrt(d)) by Bareiss elimination on pairs of ints, once the
+denominators are cleared.  Everything in this module is immutable and pure;
+no floating point is used except in explicit ``float()`` conversions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -472,38 +473,55 @@ def sturm_count_roots(p: RationalPoly, lo=None, hi=None) -> int:
     return v_lo - v_hi
 
 
-def _as_quadext(x) -> QuadExt:
-    if isinstance(x, QuadExt):
-        return x
-    return QuadExt(x)
-
-
 def fraction_free_rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank of a matrix over Q(sqrt(d)) by Bareiss elimination.
 
     Entries may be ints, Fractions, or QuadExt values sharing one radicand
-    (rationals mix freely).  Pivots are chosen as the first entry with
-    nonzero exact sign; every division in the Bareiss update is exact.
+    (rationals mix freely; two irrational radicands raise
+    IncompatibleRadicandError before any elimination).  Scaling by the lcm
+    of all denominators makes each entry a pair of ints (A, B) for
+    A + B*sqrt(d), and the elimination (Bareiss 1968) runs on those pairs: a
+    pivot is the first entry with (A, B) != (0, 0), and each update divides
+    by the previous pivot p as x * conj(p) / norm(p).  Every intermediate is
+    a minor of the scaled matrix, so lies in Z[sqrt(d)] and that division is
+    exact; a remainder raises ArithmeticError.
     """
-    rows = [[_as_quadext(e) for e in row] for row in matrix]
+    rows = [[e if isinstance(e, QuadExt) else QuadExt(e) for e in row] for row in matrix]
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows have unequal lengths")
+    radicands = sorted({e.d for row in rows for e in row} - {1})
+    if len(radicands) > 1:
+        raise IncompatibleRadicandError(f"cannot combine sqrt(d) for d in {radicands}")
+    d = radicands[0] if radicands else 1
+    den = lcm(*(x.denominator for row in rows for e in row for x in (e.a, e.b)))
+    A = [[e.a.numerator * (den // e.a.denominator) for e in row] for row in rows]
+    B = [[e.b.numerator * (den // e.b.denominator) for e in row] for row in rows]
     nrows = len(rows)
-    prev = QuadExt(1)
+    pa, pb, norm = 1, 0, 1  # the previous pivot pa + pb*sqrt(d) and its norm
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c].sign() != 0), None)
+        piv = next((i for i in range(r, nrows) if A[i][c] or B[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        A[r], A[piv], B[r], B[piv] = A[piv], A[r], B[piv], B[r]
+        ra, rb, ca, cb = A[r], B[r], A[r][c], B[r][c]
+        dcb, dpb = d * cb, d * pb
         for i in range(r + 1, nrows):
+            ia, ib = A[i], B[i]
+            xa, xb = ia[c], ib[c]
+            dxb = d * xb
             for j in range(c + 1, ncols):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) / prev
-            rows[i][c] = QuadExt(0)
-        prev = rows[r][c]
+                # y = pivot * x_ij - x_ic * x_rj, then x_ij = y * conj(p) / norm(p)
+                ya = ca * ia[j] + dcb * ib[j] - xa * ra[j] - dxb * rb[j]
+                yb = ca * ib[j] + cb * ia[j] - xa * rb[j] - xb * ra[j]
+                ia[j], qa = divmod(ya * pa - yb * dpb, norm)
+                ib[j], qb = divmod(yb * pa - ya * pb, norm)
+                if qa or qb:
+                    raise ArithmeticError(f"Bareiss step at column {c} is not exact")
+        pa, pb, norm = ca, cb, ca * ca - cb * dcb
         r += 1
         if r == nrows:
             break

@@ -142,6 +142,7 @@ def _polish(newton, lo, hi, flo, fhi) -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed recurrence raises below, without warnings
 def q_roots(spec: KernelSpec) -> np.ndarray:
     """All t roots of Q_{n,t}, ascending, inside (-1, 1), with no eigen-solver.
 

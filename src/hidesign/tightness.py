@@ -47,7 +47,7 @@ class GraphFormatError(ValueError):
 
 
 def _check_adjacency(adj) -> np.ndarray:
-    a = np.asarray(adj, dtype=int)
+    a = np.array(adj, dtype=int)  # a copy: TwoDistGraph freezes it, not the caller's array
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphFormatError("adjacency matrix must be square")
     if a.shape[0] < 2:

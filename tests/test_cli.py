@@ -57,8 +57,7 @@ class TestTable:
 
     def test_overflowing_kernel_exits_2(self, capsys):
         # the recurrence for Q_{402,1000} overflows float64, so q_roots raises RuntimeError
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "table", "--n", "400", "--t", "1001")
+        code, out, err = run(capsys, "table", "--n", "400", "--t", "1001")
         assert code == 2 and out == ""
         assert err.startswith("error: could not isolate the 1000 roots of Q_{402,1000}")
         assert "overflowed float64" in err
@@ -315,6 +314,16 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert "3.333333333" in proc.stdout
+
+    def test_overflowing_kernel_prints_only_the_error_line(self):
+        # q_roots reports the overflow itself, so numpy's RuntimeWarnings stay silent
+        proc = subprocess.run(
+            [sys.executable, "-m", "hidesign", "table", "--n", "400", "--t", "1001"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: could not isolate the 1000 roots of Q_{402,1000} on 2403 grid "
+                               "points: the recurrence overflowed float64\n")
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

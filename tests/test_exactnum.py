@@ -227,6 +227,56 @@ class TestFractionFreeRank:
         with pytest.raises(ValueError):
             fraction_free_rank([[1, 2], [3]])
 
+    def test_mixed_radicands_rejected(self):
+        s2, s3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+        with pytest.raises(IncompatibleRadicandError):
+            fraction_free_rank([[s2, s3]])  # one row: rejected before any elimination
+        with pytest.raises(IncompatibleRadicandError):
+            fraction_free_rank([[1, s2], [Fraction(1, 2), 1 + s3]])
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 33, 42])
+    def test_matches_regular_representation_rank(self, d):
+        # a + b*sqrt(d) acts on Q^2 as [[a, b*d], [b, a]], so the rational rank
+        # of the blown-up matrix is twice the rank over Q(sqrt(d))
+        rng = np.random.default_rng(1000 + d)
+
+        def surd(a_scale=1, b_scale=1):
+            a, b, p, q = (int(v) for v in rng.integers([-4, -3, 1, 1], [5, 4, 4, 4]))
+            return QuadExt(Fraction(a * a_scale, p), Fraction(b * b_scale, q), d)
+
+        def rational_rank(rows):
+            rows, rank = [row[:] for row in rows], 0
+            for c in range(len(rows[0]) if rows else 0):
+                piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+                if piv is None:
+                    continue
+                rows[rank], rows[piv] = rows[piv], rows[rank]
+                for i in range(rank + 1, len(rows)):
+                    f = rows[i][c] / rows[rank][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                rank += 1
+            return rank
+
+        seen = set()
+        for trial in range(60):
+            m, n, k = (int(v) for v in rng.integers(1, 7, size=3))
+            pure = trial % 5 == 1  # surd times rational: pivots with a zero rational part
+            U = [[surd(a_scale=not pure) for _ in range(k)] for _ in range(m)]
+            V = [[surd(b_scale=not pure) for _ in range(n)] for _ in range(k)]
+            if trial % 3 == 0:
+                U[0] = [QuadExt(0)] * k  # a zero first row: the first pivot needs a row swap
+            if trial % 4 == 0:
+                for row in V:
+                    row[int(rng.integers(n))] = QuadExt(0)  # a zero column
+            M = [[sum((U[i][l] * V[l][j] for l in range(k)), QuadExt(0)) for j in range(n)]
+                 for i in range(m)]
+            blown = [[x for e in row for x in ((e.a, e.b * e.d), (e.b, e.a))[half]]
+                     for row in M for half in (0, 1)]
+            rank = fraction_free_rank(M)
+            assert 2 * rank == rational_rank(blown)
+            seen.add((rank, m == n))
+        assert len(seen) >= 6  # full-rank, deficient and zero-rank cases, square and not
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12), st.integers(0, 1000))
     def test_matches_float_rank(self, m, n, k, seed):

@@ -212,6 +212,14 @@ class TestScan:
         with pytest.raises(GraphFormatError, match=r"graph #1: "):
             next(scan)
 
+    def test_caller_array_stays_writable(self):
+        adj = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        list(scan_graph_corpus([adj], QuadExt(3), 2))
+        g = TwoDistGraph(adj, QuadExt(3))
+        assert adj.flags.writeable and not g.adjacency.flags.writeable
+        adj[0, 1] = 0
+        assert g.adjacency[0, 1] == 1
+
     def test_each_adjacency_checked_once(self, monkeypatch):
         calls = []
         check = tightness._check_adjacency

@@ -20,8 +20,13 @@ import tempfile
 from pathlib import Path
 
 G4 = "C? C@ CB C` CJ CF Ck CN Cl C| C~".split()  # the 11 graphs on 4 vertices
+# 10 vertices: the Petersen graph (a 2-distance set in R^4 at squared ratio 2:
+# the sums e_i + e_j in R^5, edges on disjoint pairs), its complement, four
+# G(10, 1/2) graphs and the empty graph
+G10 = ["IheA@GUAo", "IUX|}vh|G", "ICd\\gRE_w", "Igu~ysX}O", "IC|jXApK?", "IkSUDtCbo", "I????????"]
 INPUTS = {
     "g4.g6": ("\n".join(G4) + "\n").encode(),
+    "g10.g6": ("\n".join(G10) + "\n").encode(),
     "bad.g6": b"C?\n\x01\x02\n",
     "bad_ff.g6": b"C?\n\xff\n",
     "small.g6": b"C~\n@\n",
@@ -80,6 +85,9 @@ CASES = [  # (argv, extra environment)
     ("embed --graphs g4.g6 --b2 (7+√33)/4 --n 7", {}),
     ("embed --graphs g4.g6 --b2 2 --n 3 --out scan.ndjson", {}),
     ("embed --graphs graphs.json --json-adjacency --b2 2 --n 1", {}),
+    # 10 vertices: only the Petersen graph passes at n = 4; rank 9 over Q(sqrt(33))
+    ("embed --graphs g10.g6 --b2 2 --n 4", {}),
+    ("embed --graphs g10.g6 --b2 (7+√33)/4 --n 8 --out scan10.ndjson", {}),
     # error cases of tests/test_cli.py
     ("table --n 10..3 --t 4", {}),
     ("construct lift --base pent.json --n 3 --t 4 --radius 0.5", {}),
