@@ -65,9 +65,8 @@ class BoundReport:
 
 
 def fisher_bound(n: int, t: int) -> BoundReport:
-    """Compute b_{n,t}; odd t is allowed and annotated (two points suffice)."""
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
+    """Compute b_{n,t}; odd t is allowed and annotated (two points suffice).
+    Non-integer n or t and n < 2 raise ValueError in dim_harmonic."""
     if t < 1:
         raise ValueError(f"degree must be >= 1, got {t}")
     report = q_min(KernelSpec(n, t))

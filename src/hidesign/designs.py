@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -251,14 +252,20 @@ def harmonic_index_spectrum(X: PointSet, t_max: int, tol: float = DEFAULT_VERIFY
     return [k for k, ok in zip(cert.degrees, cert.passes) if ok]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProductSet:
-    """Distinct off-diagonal inner products of a point set, clustered."""
+    """Distinct off-diagonal inner products of a point set, clustered: read-only
+    arrays of the ascending centers (float64) and their multiplicities (int64).
+    Two sets are equal when every field is, the arrays element by element."""
 
-    values: tuple[float, ...]
-    multiplicities: tuple[int, ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
     symmetric: bool
     merge_tol: float
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, InnerProductSet) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _product_clusters(pts: np.ndarray, merge_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -304,12 +311,9 @@ def inner_product_set(X: PointSet, merge_tol: float = 1e-8) -> InnerProductSet:
     every value has its negative present (within the merge tolerance).
     """
     c, counts = _product_clusters(X.points, merge_tol)
-    symmetric = _mirrored(c, merge_tol)
-    # up to m(m-1)/2 Python floats outweigh every array here: build the
-    # tuples with no spare array alive, and the centers with no list between
-    mults = tuple(counts.tolist())
-    del counts
-    return InnerProductSet(tuple(memoryview(c)), mults, symmetric, merge_tol)
+    c.setflags(write=False)
+    counts.setflags(write=False)
+    return InnerProductSet(c, counts, _mirrored(c, merge_tol), merge_tol)
 
 
 def lift_design(base: PointSet, t: int, r: float, root_tol: float = ROOT_RESIDUAL_TOL) -> PointSet:
@@ -340,21 +344,6 @@ def lift_design(base: PointSet, t: int, r: float, root_tol: float = ROOT_RESIDUA
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-
-def _lex_positive_half(points: np.ndarray) -> np.ndarray:
-    """One representative per antipodal pair: first nonzero coordinate > 0."""
-    reps = []
-    seen = set()
-    for p in points:
-        first = next((c for c in p if abs(c) > 1e-12), 1.0)
-        q = p if first > 0 else -p
-        key = tuple(np.round(q, 12))
-        if key not in seen:
-            seen.add(key)
-            reps.append(q)
-    reps.sort(key=lambda v: tuple(v))
-    return np.array(reps)
 
 
 def regular_polygon(m: int) -> PointSet:
@@ -397,16 +386,36 @@ def simplex(n: int) -> PointSet:
     return PointSet(n, pts, None, f"simplex({n})")
 
 
+def _distinct_permutations(v: tuple) -> list[tuple]:
+    """Each distinct rearrangement of v once: a distinct first value, then each of the rest's."""
+    if not v:
+        return [()]
+    return [(x, *tail) for i, x in enumerate(v) if x not in v[:i]
+            for tail in _distinct_permutations(v[:i] + v[i + 1:])]
+
+
+def _signed_orbit(base: tuple, perms=None, even_signs: bool = False) -> list[tuple[float, ...]]:
+    """Signed permutations of base (coordinates >= 0): every distinct rearrangement,
+    or those in perms (v[i] = base[p[i]]), with either sign on each nonzero
+    coordinate, or an even number of minus signs when even_signs; zeros stay +0."""
+    arrangements = _distinct_permutations(base) if perms is None else [
+        tuple(base[i] for i in p) for p in perms]
+    return [w for v in arrangements for w in product(*[(c, -c) if c else (c,) for c in v])
+            if not (even_signs and sum(c < 0 for c in w) % 2)]
+
+
+def _antipodal_half(orbit: list[tuple[float, ...]]) -> np.ndarray:
+    """One vector per antipodal pair of an orbit closed under negation: those
+    whose first nonzero coordinate is positive, exact duplicates dropped,
+    sorted.  No vector is negated, so no coordinate becomes -0.0."""
+    return np.array(sorted({v for v in orbit if next(c for c in v if c) > 0}))
+
+
 def icosahedron_half() -> PointSet:
-    """Six vertices of a regular icosahedron, one per antipodal pair."""
-    verts = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            v = np.array([0.0, s1, s2 * GOLDEN])
-            for r in range(3):
-                verts.append(np.roll(v, r))
-    verts = np.array(verts) / math.sqrt(1 + GOLDEN ** 2)
-    return PointSet(3, _lex_positive_half(verts), None, "icosahedron_half")
+    """Six vertices of a regular icosahedron, one per antipodal pair: the
+    cyclic permutations of (0, +-1, +-phi), scaled to unit norm."""
+    half = _antipodal_half(_signed_orbit((0.0, 1.0, GOLDEN), [(0, 1, 2), (2, 0, 1), (1, 2, 0)]))
+    return PointSet(3, half / math.sqrt(1 + GOLDEN ** 2), None, "icosahedron_half")
 
 
 def e8_half() -> PointSet:
@@ -416,20 +425,8 @@ def e8_half() -> PointSet:
     vectors with all coordinates +-1/2 and an even number of minus signs,
     scaled to unit norm.
     """
-    roots = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    v = np.zeros(8)
-                    v[i], v[j] = si, sj
-                    roots.append(v)
-    for bits in range(256):
-        signs = np.array([1.0 if (bits >> k) & 1 else -1.0 for k in range(8)])
-        if (signs < 0).sum() % 2 == 0:
-            roots.append(signs * 0.5)
-    roots = np.array(roots) / math.sqrt(2)
-    return PointSet(8, _lex_positive_half(roots), None, "e8_half")
+    orbit = _signed_orbit((1.0, 1.0) + (0.0,) * 6) + _signed_orbit((0.5,) * 8, even_signs=True)
+    return PointSet(8, _antipodal_half(orbit) / math.sqrt(2), None, "e8_half")
 
 
 def cell600_half() -> PointSet:
@@ -439,36 +436,10 @@ def cell600_half() -> PointSet:
     (+-1/2,...,+-1/2), and 96 even permutations of
     (+-phi, +-1, +-1/phi, 0)/2, already unit length.
     """
-    verts = []
-    for i in range(4):
-        for s in (1.0, -1.0):
-            v = np.zeros(4)
-            v[i] = s
-            verts.append(v)
-    for bits in range(16):
-        verts.append(np.array([0.5 if (bits >> k) & 1 else -0.5 for k in range(4)]))
-    base = np.array([GOLDEN / 2, 0.5, 1 / (2 * GOLDEN), 0.0])
-    for perm in _even_permutations(4):
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                for s3 in (1.0, -1.0):
-                    v = np.zeros(4)
-                    v[perm[0]] = s1 * base[0]
-                    v[perm[1]] = s2 * base[1]
-                    v[perm[2]] = s3 * base[2]
-                    verts.append(v)
-    return PointSet(4, _lex_positive_half(np.array(verts)), None, "cell600_half")
-
-
-def _even_permutations(k: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
-    out = []
-    for p in permutations(range(k)):
-        inv = sum(1 for i in range(k) for j in range(i + 1, k) if p[i] > p[j])
-        if inv % 2 == 0:
-            out.append(p)
-    return out
+    even = [p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
+    orbit = (_signed_orbit((1.0, 0.0, 0.0, 0.0)) + _signed_orbit((0.5,) * 4)
+             + _signed_orbit((GOLDEN / 2, 0.5, 1 / (2 * GOLDEN), 0.0), even))
+    return PointSet(4, _antipodal_half(orbit), None, "cell600_half")
 
 
 def _x0(sign: int) -> PointSet:
@@ -498,17 +469,8 @@ def x0_minus() -> PointSet:
     return _x0(-1)
 
 
-_GENERATORS = {
-    "regular_polygon": regular_polygon,
-    "two_point_s1": two_point_s1,
-    "cross_polytope_half": cross_polytope_half,
-    "simplex": simplex,
-    "icosahedron_half": icosahedron_half,
-    "e8_half": e8_half,
-    "cell600_half": cell600_half,
-    "x0_plus": x0_plus,
-    "x0_minus": x0_minus,
-}
+_GENERATORS = {f.__name__: f for f in (regular_polygon, two_point_s1, cross_polytope_half, simplex,
+                                       icosahedron_half, e8_half, cell600_half, x0_plus, x0_minus)}
 
 
 def list_generators() -> list[str]:
@@ -546,12 +508,10 @@ def separated_component_sums(base: PointSet, r: float, t: int) -> list[float]:
     out = []
     for j in range(t + 1):
         radial = (1 - r * r) ** (j / 2) * q_eval(KernelSpec(3 + 2 * j, t - j), r)
-        if j == 0:
-            out.append(abs(len(base) * radial))
-        else:
-            c = float(np.cos(j * theta).sum())
-            s = float(np.sin(j * theta).sum())
-            out.append(math.hypot(c, s) * abs(radial))
+        # at j = 0 the cosines sum to |X| exactly and the sines to 0
+        c = float(np.cos(j * theta).sum())
+        s = float(np.sin(j * theta).sum())
+        out.append(math.hypot(c, s) * abs(radial))
     return out
 
 

@@ -9,6 +9,7 @@ makes its sign structure (roots, global minimum) control design bounds.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from math import comb, cos, pi
@@ -34,7 +35,12 @@ def dim_harmonic(n: int, t: int) -> int:
     """Dimension of the degree-t harmonic homogeneous polynomials on R^n.
 
     Equals C(n+t-1, t) - C(n+t-3, t-2); the second term is zero for t < 2.
+    Every kernel path passes here, so this is where n and t must pass operator.index.
     """
+    try:
+        n, t = operator.index(n), operator.index(t)
+    except TypeError:
+        raise ValueError(f"dimension and degree must be integers, got n={n!r}, t={t!r}") from None
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
     if t < 0:
@@ -203,14 +209,15 @@ def q_min(spec: KernelSpec) -> MinimumReport:
 
 
 def bessel_j(alpha: float, z):
-    """Bessel function of the first kind J_alpha(z) for z >= 0.
+    """Bessel function of the first kind J_alpha(z) for z >= 0 and order
+    0 <= alpha < 2^51, the limit of bessel_first_zero.
 
     Delegates to scipy's jv, which is accurate to well over 10 significant
     digits on the range used here (z up to ~60).
     """
     from scipy.special import jv  # imported on use: only the Bessel functions need it
-    if alpha < 0 or not np.isfinite(alpha):
-        raise ValueError(f"order must be finite and >= 0, got {alpha}")
+    if not 0 <= alpha < 2.0 ** 51:  # NaN and inf too
+        raise ValueError(f"Bessel order must lie in [0, 2^51), got {alpha}")
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0):
         raise ValueError("argument must be >= 0")
@@ -226,11 +233,13 @@ def bessel_first_zero(alpha: float) -> float:
     at least j_{0,2} - j_{0,1} = 3.115 apart.  So a scan from max(alpha, 1) in
     steps of 3 up to alpha + 2*alpha^(1/3) + 7 passes j_{alpha,1}, and its
     first point with J_alpha <= 0 lies before j_{alpha,2}.  _polish refines
-    that bracket, with J_alpha' = (alpha/z) J_alpha - J_{alpha+1}.
+    that bracket, with J_alpha' = (alpha/z) J_alpha - J_{alpha+1}.  From order
+    2^51 on, jv shows no sign change near j_{alpha,1}: such orders raise
+    ValueError before the scan, which so stays under 87,400 points.
     """
     from scipy.special import jv
-    if alpha < 0 or not np.isfinite(alpha):
-        raise ValueError(f"order must be finite and >= 0, got {alpha}")
+    if not 0 <= alpha < 2.0 ** 51:  # NaN and inf too
+        raise ValueError(f"Bessel order must lie in [0, 2^51), got {alpha}")
     grid = np.arange(max(alpha, 1.0), alpha + 2 * alpha ** (1 / 3) + 7, 3.0)
     vals = jv(alpha, grid)
     if not (i := int(np.argmax(vals <= 0))):  # J_alpha(max(alpha, 1)) > 0, so 0 means none is <= 0

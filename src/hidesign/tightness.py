@@ -22,6 +22,7 @@ import numpy as np
 
 from .bounds import tight_inner_product
 from .exactnum import QuadExt, fraction_free_rank
+from .orthopoly import dim_harmonic
 
 __all__ = [
     "GraphFormatError",
@@ -342,8 +343,8 @@ class TightnessDossier:
 
 def tightness_dossier(n: int) -> TightnessDossier:
     """Assemble the degree-4 feasibility verdicts for dimension n >= 2."""
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
+    dim_harmonic(n, 4)  # a ValueError unless n is an integer >= 2
+    n = int(n)
     t = 4
     b_exact = Fraction((n + 1) * (n + 2), 6)
     integral = n % 3 != 0

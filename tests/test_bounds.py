@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hidesign.bounds import (
@@ -20,6 +21,14 @@ from hidesign.orthopoly import bessel_j
 
 
 class TestFisherBound:
+    def test_non_integer_input_named(self):
+        with pytest.raises(ValueError, match="must be integers, got n=3.5, t=4$"):
+            fisher_bound(3.5, 4)
+        with pytest.raises(ValueError, match="must be integers, got n=5, t=4.0$"):
+            fisher_bound(5, 4.0)
+        rep = fisher_bound(np.int64(5), np.int64(4))
+        assert (rep.b, rep.c, rep.closed_form) == (fisher_bound(5, 4).b, fisher_bound(5, 4).c, 7)
+
     def test_3_4_is_ten_thirds(self):
         rep = fisher_bound(3, 4)
         assert rep.b == pytest.approx(10 / 3, rel=1e-13)

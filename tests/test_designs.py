@@ -1,5 +1,6 @@
 """Point sets, generators, kernel certificates, lifting, explicit bases."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -144,6 +145,29 @@ class TestGenerators:
         assert len(generate("cross_polytope_half", n=5)) == 5
         assert len(generate("simplex", n=4)) == 5
         assert len(generate("regular_polygon", m=7)) == 7
+
+    # parameters for the generators that take some; the rest take none
+    PARAMS = {"regular_polygon": {"m": 7}, "two_point_s1": {"e": 3, "j": 1},
+              "cross_polytope_half": {"n": 5}, "simplex": {"n": 6}}
+
+    def test_no_negative_zero(self):
+        # halving by negating whole vectors wrote "-0" for 1 coordinate of the
+        # icosahedron half and 16 of the 600-cell half
+        for kind in designs.list_generators():
+            pts = generate(kind, **self.PARAMS.get(kind, {})).points
+            assert not np.any((pts == 0) & np.signbit(pts)), kind
+
+    # SHA-256 of to_json() as the vector-by-vector loops wrote it, each "-0" read as "0"
+    DIGESTS = {
+        "icosahedron_half": "47f89b9c09fd41bd1d6a354ded92289bc6707981f09438bb5cee4666a0a49f47",
+        "e8_half": "50d29bb0c7cd6546df3de63b471e2401c57cf462678d11eb414de4cbcb940f55",
+        "cell600_half": "b3a92b045585eabf62d18a015ec5660368d8b2b2960f2230d0cf3c8fe60aa54c",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_root_system_halves_pinned_byte_for_byte(self, kind):
+        # bytes, not an array comparison, which takes -0.0 == 0.0
+        assert hashlib.sha256(generate(kind).to_json().encode()).hexdigest() == self.DIGESTS[kind]
 
     def test_hyphenated_names(self):
         assert len(generate("cell600-half")) == 60
@@ -371,8 +395,19 @@ class TestLift:
 class TestInnerProducts:
     def test_cross_polytope(self):
         ips = inner_product_set(generate("cross_polytope_half", n=4))
-        assert ips.values == (0.0,)
-        assert ips.multiplicities == (6,)
+        assert ips.values.tolist() == [0.0]
+        assert ips.multiplicities.tolist() == [6]
+
+    def test_read_only_arrays_and_equality(self):
+        ips = inner_product_set(generate("icosahedron_half"))
+        assert (ips.values.dtype, ips.multiplicities.dtype) == (np.float64, np.int64)
+        for arr in (ips.values, ips.multiplicities):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert ips == inner_product_set(generate("icosahedron_half"))
+        assert ips != inner_product_set(generate("icosahedron_half"), merge_tol=1e-6)
+        assert ips != inner_product_set(generate("simplex", n=3))
+        assert ips != (ips.values, ips.multiplicities, ips.symmetric, ips.merge_tol)
 
     def test_eight_values_across_derived_configurations(self):
         # inner products collected over the two pentagon lifts and variants
@@ -420,7 +455,7 @@ class TestInnerProductsAgainstLoop:
     def check(self, ps: PointSet, merge_tol: float = 1e-8):
         centers, mults, symmetric = loop_inner_product_set(ps, merge_tol)
         ips = inner_product_set(ps, merge_tol)
-        assert ips.multiplicities == mults
+        assert ips.multiplicities.tolist() == list(mults)
         assert ips.symmetric == symmetric
         np.testing.assert_allclose(ips.values, centers, rtol=0, atol=1e-15)
 
@@ -446,20 +481,23 @@ class TestInnerProductsAgainstLoop:
 
     def test_single_point(self):
         ips = inner_product_set(PointSet(2, [[1.0, 0.0]]))
-        assert (ips.values, ips.multiplicities, ips.symmetric) == ((), (), True)
+        assert (ips.values.tolist(), ips.multiplicities.tolist(), ips.symmetric) == ([], [], True)
 
     def test_two_thousand_points_memory(self):
         # forming the m x m Gram and its two triu index arrays peaked at 206 MB;
-        # the output alone (about 2e6 distinct float centers) takes 79 MB
+        # the output (about 2e6 distinct centers) kept 79 MB as Python tuples
+        # and keeps 32 MB as arrays; the peak, 95 MB, is the clustering's and
+        # the symmetry test's temporaries
         X = PointSet(4, random_points(2000, 4, seed=7))
         tracemalloc.start()
         try:
             ips = inner_product_set(X)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sum(ips.multiplicities) == 2000 * 1999 // 2
-        assert peak <= 103e6
+        assert kept <= 35e6
+        assert peak <= 100e6
 
     def test_two_thousand_points_under_two_seconds(self):
         pts = random_points(2000, 4, seed=7)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import deque
 from itertools import combinations_with_replacement
 
@@ -60,6 +61,16 @@ class TestDimHarmonic:
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             dim_harmonic(1, 3)
+
+    def test_rejects_non_integers_by_name(self):
+        for n, t, message in [(3.5, 4, "must be integers, got n=3.5, t=4"),
+                              (5, 4.0, "must be integers, got n=5, t=4.0"),
+                              ("5", 4, "must be integers, got n='5', t=4")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                dim_harmonic(n, t)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                KernelSpec(n, t)
+        assert dim_harmonic(np.int64(5), np.int64(4)) == dim_harmonic(5, 4) == 55
 
 
 class TestQEval:
@@ -410,6 +421,24 @@ class TestBessel:
         assert alpha < z < alpha + 2 * alpha ** (1 / 3) + 1
         lo, hi = z - 3 * math.ulp(z), z + 3 * math.ulp(z)
         assert jv(alpha, lo) > 0 > jv(alpha, hi)
+
+    @pytest.mark.parametrize("alpha", [1e9, 1e12, 1e15, 2.0 ** 51 - 2.0 ** 20])
+    def test_first_zero_at_huge_order_matches_olver(self, alpha):
+        # Olver's expansion; its next term, -0.00397/alpha, is far below an ulp here
+        z = bessel_first_zero(alpha)
+        olver = alpha + 1.8557570814892383 * alpha ** (1 / 3) + 1.0331503036492369 * alpha ** (-1 / 3)
+        assert abs(z - olver) <= 4 * math.ulp(olver)
+
+    @pytest.mark.parametrize("alpha", [2.0 ** 51, 4e15, 1e24, math.inf, math.nan])
+    def test_orders_from_two_to_the_51_rejected(self, alpha, monkeypatch):
+        # there scipy's jv shows no sign change near the zero: at 4e15 the
+        # scan found one 111118.5 past alpha, against Olver's 294583.1
+        import scipy.special
+
+        monkeypatch.setattr(scipy.special, "jv", None)  # refused before any jv call
+        for call in (bessel_first_zero, lambda a: bessel_j(a, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"order must lie in [0, 2^51), got {alpha}")):
+                call(alpha)
 
 
 class TestMehlerHeine:

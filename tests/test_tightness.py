@@ -342,6 +342,11 @@ class TestDossier:
     def test_n7_ratio(self):
         assert tightness_dossier(7).two_distance_ratio_sq == QuadExt(Fraction(7, 4), Fraction(1, 4), 33)
 
+    def test_non_integer_n_named(self):
+        with pytest.raises(ValueError, match="must be integers, got n=5.0, t=4$"):
+            tightness_dossier(5.0)
+        assert tightness_dossier(np.int64(23)).as_dict() == tightness_dossier(23).as_dict()
+
     def test_n2_exists(self):
         d = tightness_dossier(2)
         assert d.status == "exists"

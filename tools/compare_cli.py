@@ -122,6 +122,8 @@ CASES = [  # (argv, extra environment)
     ("asymptote --n 321 --format json", {}),
     ("asymptote --n 400", {}),
     ("table --n 400 --t 1001", {}),
+    # (n-1)/2 = 2^51, the first Bessel order refused: jv shows no sign change near the zero
+    ("asymptote --n 4503599627370497", {}),
 ]
 
 
