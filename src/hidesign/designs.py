@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -19,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .exactnum import RationalPoly
-from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _recurrence, _scale, dim_harmonic, q_eval
+from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, dim_harmonic, q_eval
 
 __all__ = [
     "InvalidPointSetError",
@@ -127,14 +128,14 @@ class PointSet:
                         self.labels, self.source + "+rotated")
 
     def with_flipped(self, indices: Iterable[int]) -> "PointSet":
-        """Replace the chosen points by their antipodes."""
+        """Replace the chosen points by their antipodes; 0 - x, so no coordinate becomes -0.0."""
         pts = self.points.copy()
         for i in indices:
-            pts[i] = -pts[i]
+            pts[i] = 0.0 - pts[i]
         return PointSet(self.dim, pts, None, self.source + "+flipped")
 
     def union_with_antipodes(self) -> "PointSet":
-        return PointSet(self.dim, np.vstack([self.points, -self.points]),
+        return PointSet(self.dim, np.vstack([self.points, 0.0 - self.points]),
                         None, self.source + "+antipodes")
 
     # -- JSON file format ---------------------------------------------------
@@ -160,7 +161,7 @@ class PointSet:
         if not isinstance(body, dict) or "dim" not in body or "points" not in body:
             raise InvalidPointSetError('expected an object with "dim" and "points"')
         try:
-            pts = np.array([[float(v) for v in row] for row in body["points"]], dtype=float)
+            pts = np.array(body["points"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidPointSetError(f"points are not parseable numbers: {exc}") from exc
         labels = body.get("labels")
@@ -213,23 +214,34 @@ class KernelCertificate:
 
 
 def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
-    """Kernel sums at ascending degrees from one recurrence pass per
-    upper-triangle Gram block up to the last degree: O(max(degrees) * m^2)
-    time.  A block adds twice its sum less its leading square's, which holds
-    the diagonal and both orders of its pairs; a single block (m^2 <=
-    _GRAM_BLOCK) is the whole Gram matrix and adds its plain sum."""
+    """Kernel sums at ascending degrees, dim * sum_i c_i mu_{k-2i} at degree k:
+    c from _chebyshev_weights, moments mu_j = sum over pairs of T_j(<x,y>) where
+    some c is nonzero.  Per upper-triangle Gram block T_j = 2x T_{j-1} - T_{j-2}
+    runs in place, a multiply and a subtract per degree, and the block adds twice
+    its sum less its leading square's (diagonal, both orders): O(t m^2) time."""
     degrees = tuple(degrees)
     if not degrees or degrees[0] < 1:
         raise ValueError("degree must be >= 1")
-    sums = dict.fromkeys(degrees, 0.0)
-    for _, block in _gram_blocks(X.points):
-        s = len(block)
-        for k, vals in enumerate(_recurrence(X.dim, degrees[-1], block)):
-            if k in sums:
-                sums[k] += 2 * float(vals.sum()) - float(vals[:, :s].sum())
-    raws = tuple(sums[k] * _scale(X.dim, k) for k in degrees)
-    residuals = tuple(abs(r) / (len(X) * dim_harmonic(X.dim, k)) for r, k in zip(raws, degrees))
-    return KernelCertificate(X.dim, degrees, raws, residuals, tol)
+    n, top = X.dim, degrees[-1]
+    if len(X) ** 2 * dim_harmonic(n, top) > sys.float_info.max:  # |sum| <= m^2 Q(1)
+        raise ValueError(f"kernel sums of {len(X)} points at n={n}, t={top} exceed float64")
+    weights = {k: _chebyshev_weights(n, k) for k in degrees}
+    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()}
+    mu = np.zeros(top + 1)
+    for _, x in _gram_blocks(X.points):
+        s, two_x, prev, cur, spare = len(x), 2 * x, np.ones_like(x), x, np.empty_like(x)
+        for j in range(1, top + 1):
+            if j > 1:
+                np.multiply(two_x, cur, out=spare)
+                spare -= prev
+                prev, cur, spare = cur, spare, prev
+            if j in need:
+                mu[j] += 2 * float(cur.sum()) - float(cur[:, :s].sum())
+    mu[0] = len(X) ** 2
+    sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
+    raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
+    residuals = tuple(abs(v) / len(X) for v in sums)
+    return KernelCertificate(n, degrees, raws, residuals, tol)
 
 
 def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
@@ -239,7 +251,7 @@ def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
     """Check the kernel criterion at every degree 1..t (full design test): one
-    recurrence pass per upper-triangle Gram block gives all t sums in
+    Chebyshev pass per upper-triangle Gram block gives all t sums in
     O(t * m^2) time, with memory a few blocks of _GRAM_BLOCK = 16384 entries,
     not an m x m array."""
     return _certificate(X, range(1, t + 1), tol)

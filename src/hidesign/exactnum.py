@@ -9,6 +9,7 @@ no floating point is used except in explicit ``float()`` conversions.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import lcm
@@ -70,10 +71,12 @@ class QuadExt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d: int = 1):
-        a, b = Fraction(a), Fraction(b)
+        # Fraction would keep a numpy integer, whose comparisons give numpy booleans
+        a = Fraction(operator.index(a) if hasattr(a, "__index__") else a)
+        b = Fraction(operator.index(b) if hasattr(b, "__index__") else b)
         if d < 1:
             raise ValueError(f"radicand must be positive, got {d}")
-        s, d = squarefree_decompose(int(d))
+        s, d = squarefree_decompose(operator.index(d))
         b *= s
         if d == 1:
             a, b = a + b, Fraction(0)
@@ -174,7 +177,7 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadExt) else QuadExt(-Fraction(other)))
+        return self + -(other if isinstance(other, QuadExt) else QuadExt(other))
 
     def __rsub__(self, other):
         return (-self) + other

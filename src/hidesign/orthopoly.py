@@ -111,6 +111,16 @@ def _scale(n: int, k: int) -> float:
     return dim_harmonic(n, k) / comb(k + n - 3, k)
 
 
+def _chebyshev_weights(n: int, k: int) -> np.ndarray:
+    """c >= 0 summing to 1 with Q_{n,k} = dim_harmonic(n, k) * sum_i c[i] T_{k-2i}, e_0 for n = 2:
+    Szego 4.9.19, C_k^lam(cos th) = sum_j a_j a_{k-j} cos((k-2j) th), a_j = (lam)_j / j!, terms
+    j and k-j merged, as a running product of ratios below C_k^lam(1) / a_k, finite while dim is."""
+    lam, j = (n - 2) / 2, np.arange(k // 2)
+    c = np.cumprod(np.concatenate([[1.0], (lam + j) * (k - j) / ((j + 1) * (lam + k - 1 - j))]))
+    c[:(k + 1) // 2] *= 2
+    return c / c.sum()
+
+
 def q_eval(spec: KernelSpec, x):
     """Evaluate Q_{n,t} at x (scalar or ndarray).
 

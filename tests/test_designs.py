@@ -4,12 +4,15 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import eval_gegenbauer
+from numpy.polynomial import chebyshev
+from scipy.special import eval_chebyt, eval_gegenbauer
 
 from hidesign import designs
 from hidesign.designs import (
@@ -28,7 +31,7 @@ from hidesign.designs import (
     verify_spherical_design,
 )
 from hidesign.exactnum import sturm_count_roots
-from hidesign.orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, dim_harmonic, q_roots
+from hidesign.orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, dim_harmonic, q_eval, q_roots
 
 
 def sorted_products(ps: PointSet) -> np.ndarray:
@@ -79,6 +82,27 @@ class TestPointSet:
             PointSet.from_json("{not json")
         with pytest.raises(InvalidPointSetError, match="points"):
             PointSet.from_json(json.dumps({"dim": 2}))
+
+    @pytest.mark.parametrize("text", ["0.5", " 0.5 ", "\t5e-1\n", "+.5", "5_0e-2", "０.５", "5.000000000000000111e-1"])
+    def test_coordinates_parse_as_float_does(self, text):
+        body = json.dumps({"dim": 2, "points": [[text, str(math.sqrt(0.75))]]})
+        assert PointSet.from_json(body).points[0, 0] == float(text)
+
+    @pytest.mark.parametrize("points", [[["1", "0"], ["0"]], [["0x1", "0"]], [["1__0", "0"]], [["1 0", "0"]],
+                                        [["", "1"]], [[{}, "1"]]])
+    def test_unparseable_coordinates(self, points):
+        with pytest.raises(InvalidPointSetError, match="not parseable numbers"):
+            PointSet.from_json(json.dumps({"dim": 2, "points": points}))
+
+    @pytest.mark.parametrize("flip", [lambda X: X.union_with_antipodes(), lambda X: X.with_flipped([0, 2])],
+                             ids=["antipodes", "flipped"])
+    @pytest.mark.parametrize("kind, params", [("cross_polytope_half", {"n": 3}), ("icosahedron_half", {}),
+                                              ("cell600_half", {})])
+    def test_flips_write_no_negative_zero(self, flip, kind, params):
+        # negating whole vectors made each zero coordinate -0.0, written "-0"
+        X = flip(generate(kind, **params))
+        assert not np.any((X.points == 0) & np.signbit(X.points))
+        assert '"-0"' not in X.to_json()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coordinates(self, bad):
@@ -353,6 +377,113 @@ class TestSpectrum:
         cert = verify_spherical_design(X, 20, tol=1e-8)
         passing = [k for k, ok in zip(cert.degrees, cert.passes) if ok]
         assert harmonic_index_spectrum(X, 20, tol=1e-8) == passing
+
+
+def scipy_kernel_sums(X: PointSet, degrees) -> list[float]:
+    """sum over all ordered pairs of Q_{n,k}(<x,y>), from scipy on the full Gram matrix, row by row."""
+    n, gram = X.dim, np.clip(X.gram(), -1.0, 1.0)
+    out = []
+    for k in degrees:
+        if n == 2:
+            rows = [2 * eval_chebyt(k, row).sum() for row in gram]
+        else:
+            scale = dim_harmonic(n, k) / math.comb(k + n - 3, k)
+            rows = [scale * eval_gegenbauer(k, (n - 2) / 2, row).sum() for row in gram]
+        out.append(math.fsum(rows))
+    return out
+
+
+class TestChebyshevMoments:
+    """Kernel sums from Chebyshev moments against independent evaluations."""
+
+    # (points, dimension, largest degree): one block up to m = 128, several past it
+    CASES = [(1, 3, 9), (7, 2, 30), (40, 2, 17), (90, 3, 30), (128, 5, 21), (129, 4, 13),
+             (150, 2, 25), (200, 7, 11), (260, 10, 8), (300, 6, 15), (300, 9, 5)]
+
+    @pytest.mark.parametrize("m, n, t", CASES)
+    def test_certificate_against_scipy(self, m, n, t):
+        X = PointSet(n, random_points(m, n, seed=1000 * n + m))
+        ref = scipy_kernel_sums(X, range(1, t + 1))
+        spherical = verify_spherical_design(X, t).raw_sums
+        for k in range(1, t + 1):
+            index = verify_harmonic_index(X, k).raw_sums[0]
+            bound = 1e-12 * m * m * dim_harmonic(n, k)
+            assert abs(spherical[k - 1] - ref[k - 1]) <= bound, k
+            assert abs(index - ref[k - 1]) <= bound, k
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_weights_reproduce_q_eval(self, n):
+        x = np.concatenate([np.linspace(-1, 1, 101), np.cos(np.linspace(0, math.pi, 67))])
+        for t in range(61):
+            c = _chebyshev_weights(n, t)
+            assert len(c) == t // 2 + 1 and np.all(c >= 0) and abs(c.sum() - 1) <= 1e-15
+            coef = np.zeros(t + 1)
+            coef[t::-2] = c  # c[i] weighs T_{t-2i}
+            dim = dim_harmonic(n, t)
+            assert np.abs(dim * chebyshev.chebval(x, coef) - q_eval(KernelSpec(n, t), x)).max() <= 1e-13 * dim
+
+    def test_circle_weights_are_the_leading_unit_vector(self):
+        for t in range(40):
+            assert _chebyshev_weights(2, t).tolist() == [1.0] + [0.0] * (t // 2)
+
+    # set, last degree, and harmonic_index_spectrum up to it as the Gegenbauer recurrence gave it
+    SPECTRA = {
+        "icosahedron_half": (lambda: generate("icosahedron_half"), 30, [2, 4, 8, 14]),
+        "e8_half": (lambda: generate("e8_half"), 30, [2, 4, 6, 10]),
+        "cell600_half": (lambda: generate("cell600_half"), 60,
+                         [2, 4, 6, 8, 10, 14, 16, 18, 22, 26, 28, 34, 38, 46, 58]),
+        "x0_plus": (lambda: generate("x0_plus"), 30, [4]),
+        "x0_minus": (lambda: generate("x0_minus"), 30, [4]),
+        "simplex(3)": (lambda: generate("simplex", n=3), 30, [1, 2, 5]),
+        "cross_polytope_half(4)": (lambda: generate("cross_polytope_half", n=4), 30, [2]),
+        "regular_polygon(7)": (lambda: generate("regular_polygon", m=7), 30, [k for k in range(1, 31) if k % 7]),
+        "e8_half+antipodes": (lambda: generate("e8_half").union_with_antipodes(), 30,
+                              [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29]),
+        "cell600_half+antipodes": (lambda: generate("cell600_half").union_with_antipodes(), 30,
+                                   [k for k in range(1, 31) if k % 2 or k in (2, 4, 6, 8, 10, 14, 16, 18, 22, 26, 28)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_library_spectra_pinned(self, name):
+        build, t, spectrum = self.SPECTRA[name]
+        X = build()
+        assert harmonic_index_spectrum(X, t) == spectrum
+        cert = verify_spherical_design(X, t)
+        assert [k for k, ok in zip(cert.degrees, cert.passes) if ok] == spectrum
+        assert all(verify_harmonic_index(X, k).passed == (k in spectrum) for k in range(1, t + 1))
+        # passing degrees are exact designs: rounding alone is left
+        assert max(r for r, ok in zip(cert.residuals, cert.passes) if ok) <= 1e-13
+
+    @pytest.mark.parametrize("m, t", [(5, 4), (7, 6)])
+    def test_lifted_spectra_pinned(self, m, t):
+        base = generate("regular_polygon", m=m)
+        for r in q_roots(KernelSpec(3, t)):
+            assert harmonic_index_spectrum(lift_design(base, t, float(r)), 30) == [t]
+
+    def test_beyond_float64_is_an_error_naming_n_and_t(self):
+        # the parent recurrence overflowed with RuntimeWarnings, then raised OverflowError
+        X = generate("cross_polytope_half", n=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n=1000, t=400 exceed float64"):
+                verify_harmonic_index(X, 400)
+            with pytest.raises(ValueError, match="n=1000, t=400 exceed float64"):
+                verify_spherical_design(X, 400)
+
+    def test_just_below_the_limit(self):
+        # 200^2 * dim(200, 2426) < 1.8e308 <= 200^2 * dim(200, 2427): the last
+        # degree certified, with weights down to 1e-124 and no overflow
+        X = generate("cross_polytope_half", n=200)
+        assert 200 ** 2 * dim_harmonic(200, 2426) <= sys.float_info.max < 200 ** 2 * dim_harmonic(200, 2427)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = verify_harmonic_index(X, 2426)
+            c = _chebyshev_weights(200, 2426)
+        assert np.all(c >= 0) and abs(c.sum() - 1) <= 1e-15 and 0 < c.min() < 1e-100
+        # sum = m Q(1) + m(m-1) Q(0), and Q_{200,2426}(0) / Q(1) is below 1e-300
+        assert cert.raw_sums[0] == pytest.approx(200 * float(dim_harmonic(200, 2426)), rel=1e-12)
+        with pytest.raises(ValueError, match="n=200, t=2427"):
+            verify_harmonic_index(X, 2427)
 
 
 class TestLift:

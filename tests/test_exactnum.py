@@ -65,6 +65,21 @@ class TestQuadExt:
         assert QuadExt(7, -4, 3) > 0  # 49 > 48
         assert QuadExt(7, -4, 3) < Fraction(1, 10)  # 0.0718 < 0.1
 
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32])
+    def test_numpy_integers_in_every_slot(self, np_int):
+        # a Fraction of a numpy integer kept it as numerator, and sign() then
+        # raised TypeError: numpy boolean subtract
+        for args in [(3,), (3, 1, 5), (-3, 1, 5), (7, -4, 3), (0, -2, 7)]:
+            want = QuadExt(*args)
+            for i in range(len(args)):
+                got = QuadExt(*args[:i], np_int(args[i]), *args[i + 1:])
+                assert got == want and got.sign() == want.sign(), (args, i)
+                assert all(type(x.numerator) is int for x in (got.a, got.b)) and type(got.d) is int
+        assert QuadExt(np_int(3)) > QuadExt(0, 1, 8)
+        # as the other operand: subtraction, and so every ordering, went through Fraction
+        assert QuadExt(0, 1, 2) < np_int(2) and QuadExt(0, 1, 2) > np_int(1)
+        assert (QuadExt(0, 1, 2) - np_int(1)).sign() == 1
+
     def test_float(self):
         assert float(QuadExt(1, 2, 3)) == pytest.approx(1 + 2 * 3**0.5)
 

@@ -12,7 +12,9 @@ whose stdout, stderr, written files or exit code differ; exits 1 if any do.
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -24,6 +26,18 @@ G4 = "C? C@ CB C` CJ CF Ck CN Cl C| C~".split()  # the 11 graphs on 4 vertices
 # the sums e_i + e_j in R^5, edges on disjoint pairs), its complement, four
 # G(10, 1/2) graphs and the empty graph
 G10 = ["IheA@GUAo", "IUX|}vh|G", "ICd\\gRE_w", "Igu~ysX}O", "IC|jXApK?", "IkSUDtCbo", "I????????"]
+
+
+def _sphere_points(m: int, n: int, seed: int) -> bytes:
+    """m seeded random unit vectors in R^n as a point-set file."""
+    rng, rows = random.Random(seed), []
+    for _ in range(m):
+        v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        norm = math.sqrt(math.fsum(x * x for x in v))
+        rows.append([format(x / norm, ".17g") for x in v])
+    return json.dumps({"dim": n, "points": rows, "labels": None, "source": f"random {m} on S^{n - 1}"}).encode()
+
+
 INPUTS = {
     "g4.g6": ("\n".join(G4) + "\n").encode(),
     "g10.g6": ("\n".join(G10) + "\n").encode(),
@@ -33,9 +47,13 @@ INPUTS = {
     "graphs.json": json.dumps([[[0, 1], [1, 0]]]).encode(),
     "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
     "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
+    "s2_500.json": _sphere_points(500, 3, 500),
 }
 MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half"),
-        ("poly300.json", "regular-polygon --m 300")]
+        ("poly300.json", "regular-polygon --m 300"), ("c600.json", "cell600-half")]
+# (file, file of MADE, PointSet method call): flipped and antipodal sets, written by the old tree
+DERIVED = [("ico_flipped.json", "ico.json", "with_flipped([0, 3])"),
+           ("c600_full.json", "c600.json", "union_with_antipodes()")]
 
 CASES = [  # (argv, extra environment)
     ("table --n 3..4 --t 5", {}),
@@ -62,6 +80,13 @@ CASES = [  # (argv, extra environment)
     # several Gram blocks on the circle's Chebyshev branch
     ("verify --in poly300.json --t 299 --spherical", {}),
     ("verify --in poly300.json --t 299 --spherical --format json", {}),
+    # several Gram blocks at n = 3; the 600-cell half at its top degree; negated points
+    ("verify --in s2_500.json --t 6 --spherical", {}),
+    ("verify --in c600.json --t 58", {}),
+    ("verify --in c600.json --t 58 --format json", {}),
+    ("verify --in ico_flipped.json --t 8", {}),
+    ("verify --in ico_flipped.json --t 8 --spherical --format json", {}),
+    ("verify --in c600_full.json --t 11 --spherical", {}),
     ("asymptote --n 7", {}),
     ("asymptote --n 4 --format json", {}),
     ("asymptote --n 9 --out a.txt", {}),
@@ -150,6 +175,11 @@ def main() -> int:
         for name, kind in MADE:
             subprocess.run([sys.executable, "-m", "hidesign", "construct", *kind.split(),
                             "--out", str(inputs / name)], check=True,
+                           env=dict(os.environ, PYTHONPATH=str(old.resolve())))
+        for name, made, call in DERIVED:
+            code = (f"from hidesign.designs import PointSet; "
+                    f"PointSet.load({str(inputs / made)!r}).{call}.save({str(inputs / name)!r})")
+            subprocess.run([sys.executable, "-c", code], check=True,
                            env=dict(os.environ, PYTHONPATH=str(old.resolve())))
         differ = 0
         for argv, env_extra in CASES:
