@@ -164,10 +164,12 @@ class PointSet:
             pts = np.array(body["points"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidPointSetError(f"points are not parseable numbers: {exc}") from exc
-        labels = body.get("labels")
-        return cls(int(body["dim"]), pts,
-                   tuple(labels) if labels is not None else None,
-                   str(body.get("source", "")))
+        dim, labels = body["dim"], body.get("labels")
+        if type(dim) is not int:  # a JSON integer: no bool, float or string
+            raise InvalidPointSetError(f'"dim" must be an integer, got {dim!r:.80}')
+        if labels is not None and not (type(labels) is list and all(type(s) is str for s in labels)):
+            raise InvalidPointSetError(f'"labels" must be null or a list of strings, got {labels!r:.80}')
+        return cls(dim, pts, tuple(labels) if labels is not None else None, str(body.get("source", "")))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -74,31 +74,31 @@ class MinimumReport:
     method: str
 
 
-def _recurrence(n: int, t: int, x: np.ndarray) -> Iterator[np.ndarray]:
+def _recurrence(n: int, t: int, x) -> Iterator:
     """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
     Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0),
     else the Gegenbauer C_k^lambda with lambda = (n-2)/2.
 
-    Three buffers of x's shape rotate and are updated in place, in the
-    operation order of 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2}, then / k:
-    a yielded array is overwritten two steps later, so a caller may keep the
-    last two.  x itself is never written."""
-    lam = (n - 2) / 2
-    prev, cur = np.ones_like(x), x.copy() if n == 2 else 2 * lam * x
+    x is an ndarray or a float, taken through the same IEEE operations in the
+    order of 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2}, then / k.  On an
+    array the augmented assignments update three rotating buffers of x's shape
+    in place: a yielded array is overwritten two steps later, so a caller may
+    keep the last two.  x itself is never written.  On a float they rebind,
+    about ten times faster per step than a one-element array."""
+    lam, arr = (n - 2) / 2, isinstance(x, np.ndarray)
+    prev, cur = np.ones_like(x) if arr else 1.0, +x if n == 2 else 2 * lam * x  # +x copies an array
     yield prev
     if t:
         yield cur
-    spare = np.empty_like(x)
+    spare = np.empty_like(x) if arr else 0.0
     for k in range(2, t + 1):
-        if n == 2:
-            np.multiply(x, 2, out=spare)
-            spare *= cur
-            spare -= prev
-        else:
-            np.multiply(x, 2 * (k + lam - 1), out=spare)
-            spare *= cur
+        m = 2 if n == 2 else 2 * (k + lam - 1)
+        spare = np.multiply(x, m, out=spare) if arr else x * m
+        spare *= cur
+        if n != 2:
             prev *= k + 2 * lam - 2
-            spare -= prev
+        spare -= prev
+        if n != 2:
             spare /= k
         prev, cur, spare = cur, spare, prev
         yield cur
@@ -159,6 +159,29 @@ def _polish(newton, lo, hi, flo, fhi) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed recurrence raises below, without warnings
+def _roots(n: int, t: int, largest: bool = False) -> np.ndarray:
+    """q_roots' bracketing pass and polish, ascending.  With largest, only the
+    last bracket is polished, in Python floats: the last entry is then still
+    the largest root, and the others are grid zeros."""
+    half = np.sin(np.linspace(0.0, pi / 2, int(t + (n - 2) / 2 + 1) + 1))
+    grid = np.concatenate([-half[:0:-1], half])
+    vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
+    cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    if len(cross) + np.count_nonzero(vals == 0) != t:
+        why = ": the recurrence overflowed float64" if not np.isfinite(vals).all() else ""
+        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points{why}")
+    a = t if n == 2 else t + n - 3
+
+    def newton(x):  # np.divide keeps numpy's division by zero for a float x
+        x = x.item() if largest else x
+        prev, cur = deque(_recurrence(n, t, x), maxlen=2)
+        return cur, np.divide(cur * (1 - x * x), a * prev - t * x * cur)
+
+    cells = cross[-1:] if largest else cross
+    x = _polish(newton, grid[cells], grid[cells + 1], vals[cells], vals[cells + 1])
+    return np.sort(np.concatenate([x, grid[vals == 0]]))
+
+
 def q_roots(spec: KernelSpec) -> np.ndarray:
     """All t roots of Q_{n,t}, ascending, inside (-1, 1), with no eigen-solver.
 
@@ -173,35 +196,28 @@ def q_roots(spec: KernelSpec) -> np.ndarray:
     with (1-x^2) P_t' = (t+2*lambda-1) P_{t-1} - t*x*P_t (t*(T_{t-1} - x*T_t)
     for n = 2) from the same pass.
     """
-    n, t = spec.n, spec.t
-    if t < 1:
+    if spec.t < 1:
         raise ValueError("root finding needs degree t >= 1")
-    half = np.sin(np.linspace(0.0, pi / 2, int(t + (n - 2) / 2 + 1) + 1))
-    grid = np.concatenate([-half[:0:-1], half])
-    vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
-    cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(cross) + np.count_nonzero(vals == 0) != t:
-        why = ": the recurrence overflowed float64" if not np.isfinite(vals).all() else ""
-        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points{why}")
-    a = t if n == 2 else t + n - 3
-
-    def newton(x):
-        prev, cur = deque(_recurrence(n, t, x), maxlen=2)
-        return cur, cur * (1 - x * x) / (a * prev - t * x * cur)
-
-    x = _polish(newton, grid[cross], grid[cross + 1], vals[cross], vals[cross + 1])
-    return np.sort(np.concatenate([x, grid[vals == 0]]))
+    return _roots(spec.n, spec.t)
 
 
 def q_min(spec: KernelSpec) -> MinimumReport:
     """Global minimum of Q_{n,t} on [-1,1], reported as c = -min > 0.
 
     Closed forms for n = 2 (2*cos(t*arccos x), c = 2) and t = 1 (linear,
-    minimum at -1).  Otherwise Q_{n,t}' is proportional to Q_{n+2,t-1}, so Q
-    is evaluated at every root of that kernel, found by q_roots' bracketing
-    pass and safeguarded Newton, plus the endpoints; all critical points are
-    tried, not only the largest.  Among locations attaining the minimum (even
-    t gives a symmetric pair) the largest is reported.
+    minimum at -1).  Otherwise Q_{n,t}' is proportional to Q_{n+2,t-1}.  Lemma
+    (Sonine; Szego 7.3): with lambda = (n-2)/2 > 0 and y = Q_{n,t}, the
+    Gegenbauer equation (1-x^2) y'' - (2*lambda+1) x y' + t(t+2*lambda) y = 0
+    gives S = y^2 + (1-x^2) y'^2 / (t(t+2*lambda)) the derivative S' =
+    4*lambda*x*y'^2 / (t(t+2*lambda)), > 0 on [0, 1] but at finitely many
+    points, so S grows strictly there;
+    S = y^2 at a critical point, so the extremes of |Q| grow strictly toward 1
+    (toward -1 by parity) and stay below Q(1) = dim.  The minimum is Q(+-xi),
+    xi the largest root of Q_{n+2,t-1}, for even t, and Q(-1) = -dim for odd
+    t.  So only xi is polished (q_roots' last bracket), in both parities, and
+    Q is evaluated at -xi, xi, -1 and 1: the same c and argmin, bit for bit,
+    as from every root.  Of the locations attaining the minimum (a symmetric
+    pair for even t) the largest is reported.
     """
     n, t = spec.n, spec.t
     if t < 1:
@@ -210,8 +226,8 @@ def q_min(spec: KernelSpec) -> MinimumReport:
         return MinimumReport(c=2.0, argmin=cos(pi / t), method="chebyshev-closed-form")
     if t == 1:
         return MinimumReport(c=float(n), argmin=-1.0, method="linear-closed-form")
-    crit = q_roots(KernelSpec(n + 2, t - 1))
-    cand = np.concatenate([crit, [-1.0, 1.0]])
+    xi = _roots(n + 2, t - 1, largest=True)[-1]
+    cand = np.array([-xi, xi, -1.0, 1.0])
     vals = q_eval(spec, cand)
     vmin = vals.min()
     near = cand[vals <= vmin + 1e-12 * abs(vmin)]

@@ -132,6 +132,16 @@ class TestConstructAndVerify:
         assert code == 2 and "point 1 has norm nan" in err
         assert out == ""
 
+    @pytest.mark.parametrize("field, value", [("dim", 2.9), ("dim", [2]), ("dim", None), ("dim", True),
+                                              ("labels", 5), ("labels", "ab"), ("labels", [1, [2]])])
+    def test_verify_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        body = {"dim": 2, "points": [["1", "0"], ["0", "1"]], "labels": None, field: value}
+        bad = tmp_path / "field.json"
+        bad.write_text(json.dumps(body))
+        code, out, err = run(capsys, "verify", "--in", str(bad), "--t", "2")
+        assert code == 2 and f'error: "{field}" must be' in err and "Traceback" not in err
+        assert out == ""
+
     def test_verify_spherical(self, tmp_path, capsys):
         f = tmp_path / "pent.json"
         generate("regular_polygon", m=5).save(f)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -93,6 +94,32 @@ class TestPointSet:
     def test_unparseable_coordinates(self, points):
         with pytest.raises(InvalidPointSetError, match="not parseable numbers"):
             PointSet.from_json(json.dumps({"dim": 2, "points": points}))
+
+    @pytest.mark.parametrize("dim", [2.9, 2.0, "2", True, [2], None, {"n": 2}])
+    def test_dim_must_be_a_json_integer(self, dim):
+        # int() once read 2.9 and "2" as 2 and true as 1; [2] and null raised TypeError
+        body = json.dumps({"dim": dim, "points": [["1", "0"], ["0", "1"]]})
+        with pytest.raises(InvalidPointSetError, match=r'"dim" must be an integer, got ' + re.escape(repr(dim))):
+            PointSet.from_json(body)
+
+    @pytest.mark.parametrize("labels", [5, "ab", [1, [2]], ["a", 2], {"a": 1}, True])
+    def test_labels_must_be_null_or_strings(self, labels):
+        # tuple() once raised TypeError on 5, split "ab" into ("a", "b") and took [1, [2]]
+        body = json.dumps({"dim": 2, "points": [["1", "0"], ["0", "1"]], "labels": labels})
+        with pytest.raises(InvalidPointSetError, match=r'"labels" must be null or a list of strings, got '
+                                                       + re.escape(repr(labels))):
+            PointSet.from_json(body)
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b"]])
+    def test_valid_labels_load(self, labels):
+        body = json.dumps({"dim": 2, "points": [["1", "0"], ["0", "1"]], "labels": labels})
+        assert PointSet.from_json(body).labels == (None if labels is None else tuple(labels))
+
+    def test_long_bad_labels_are_named_in_short(self):
+        body = json.dumps({"dim": 2, "points": [["1", "0"], ["0", "1"]], "labels": list(range(1000))})
+        with pytest.raises(InvalidPointSetError) as info:
+            PointSet.from_json(body)
+        assert str(info.value) == '"labels" must be null or a list of strings, got ' + repr(list(range(1000)))[:80]
 
     @pytest.mark.parametrize("flip", [lambda X: X.union_with_antipodes(), lambda X: X.with_flipped([0, 2])],
                              ids=["antipodes", "flipped"])

@@ -329,12 +329,59 @@ class TestQMin:
         # for even degrees (odd degrees bottom out at the endpoint -1)
         for n, t in [(3, 4), (4, 10), (7, 12), (5, 58)]:
             rep = q_min(KernelSpec(n, t))
-            assert rep.argmin == pytest.approx(q_roots(KernelSpec(n + 2, t - 1)).max(), abs=1e-9)
+            assert rep.argmin == q_roots(KernelSpec(n + 2, t - 1)).max()
 
     def test_odd_degree_minimum_at_endpoint(self):
         rep = q_min(KernelSpec(7, 13))
         assert rep.argmin == -1.0
         assert rep.c == pytest.approx(dim_harmonic(7, 13), rel=1e-12)
+
+
+def every_critical_point_minimum(n: int, t: int) -> tuple[float, float]:
+    """(c, argmin) from Q_{n,t} at every root of Q_{n+2,t-1} and at +-1, with
+    q_min's tie rule: the minimum over all critical points, not only the largest.
+    Degree 1 keeps q_min's closed form, Q_{n,1}(x) = n x."""
+    if t == 1:
+        return float(n), -1.0
+    cand = np.concatenate([q_roots(KernelSpec(n + 2, t - 1)), [-1.0, 1.0]])
+    vals = q_eval(KernelSpec(n, t), cand)
+    vmin = vals.min()
+    return -float(vmin), float(cand[vals <= vmin + 1e-12 * abs(vmin)].max())
+
+
+class TestQMinOneCriticalPoint:
+    """q_min polishes only the largest root of Q_{n+2,t-1}, in Python floats;
+    by the Sonine lemma in its docstring that loses nothing, bit for bit."""
+
+    def test_equals_minimum_over_every_critical_point(self):
+        cells = [(n, t) for n in range(3, 41) for t in range(1, 81)] + [(3, 2000), (5, 58), (40, 100)]
+        for n, t in cells:
+            rep = q_min(KernelSpec(n, t))
+            assert (rep.c, rep.argmin) == every_critical_point_minimum(n, t), (n, t)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 24, 100])
+    def test_extremes_grow_strictly_toward_one(self, n):
+        # the lemma itself: |Q_{n,t}| at the critical points in [0, 1] increases with the point
+        for t in range(3, 61):
+            crit = q_roots(KernelSpec(n + 2, t - 1))
+            mags = np.abs(q_eval(KernelSpec(n, t), crit[crit >= 0]))
+            assert np.all(np.diff(mags) > 0) and mags[-1] < dim_harmonic(n, t), (n, t)
+
+    def test_recurrence_on_a_float_matches_a_one_element_array(self):
+        for n in range(2, 13):
+            for t in range(61):
+                for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
+                    floats = list(_recurrence(n, t, x))
+                    arrays = [float(p[0]) for p in _recurrence(n, t, np.array([x]))]
+                    assert all(type(v) is float for v in floats)
+                    assert [v.hex() for v in floats] == [v.hex() for v in arrays], (n, t, x)
+
+    def test_overflow_still_raises_for_both_parities(self):
+        # the largest root is polished for odd t too, so the bracketing pass still runs
+        for t in (1001, 1000):
+            with np.errstate(all="ignore"), pytest.raises(
+                    RuntimeError, match=rf"roots of Q_\{{402,{t - 1}\}} .*overflowed float64"):
+                q_min(KernelSpec(400, t))
 
 
 def series_bessel(alpha: float, z: float, terms: int = 60) -> float:

@@ -63,6 +63,9 @@ CASES = [  # (argv, extra environment)
     ("table --n 3..10 --t 4..20 --even --truncate 2 --out t/table.txt", {}),
     ("table --n 3..5 --t 4..8 --format csv --out table.csv", {}),
     ("table --n 3..4 --t 4..6 --format json --out table.json", {}),
+    # c and b to 17 digits over many cells: the kernel minimum, bit for bit
+    ("table --n 3..40 --t 40..120 --even --format csv", {}),
+    ("table --n 3..40 --t 41..61 --format csv", {}),
     ("construct icosahedron-half", {}),
     ("construct e8-half --out e8.json", {}),
     ("construct cell600-half --out c600.json", {}),
