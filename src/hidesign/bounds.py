@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -185,7 +186,11 @@ class AsymptoteReport:
 
 
 def asymptotic_bound(n: int) -> AsymptoteReport:
-    """Evaluate the Bessel-function limit data of b_{n,t} for fixed n >= 3."""
+    """Evaluate the Bessel-function limit data of b_{n,t} for fixed integer n >= 3."""
+    try:
+        n = operator.index(n)  # as dim_harmonic takes n: a plain int from here on
+    except TypeError:
+        raise ValueError(f"asymptote requires an integer n, got {n!r}") from None
     if n < 3:
         raise ValueError(f"asymptote requires n >= 3, got {n}")
     alpha = (n - 3) / 2
@@ -204,8 +209,11 @@ def asymptotic_bound(n: int) -> AsymptoteReport:
 def tight_inner_product(n: int) -> QuadExt:
     """The only inner product +-alpha a minimum-size degree-4 design can have.
 
-    alpha = sqrt(3/(n+4)), returned exactly as an element of Q(sqrt(d)).
+    alpha = sqrt(3/(n+4)), returned exactly in Q(sqrt(d)), for integers 2 <= n < 2^32;
+    larger n raise ValueError before d is found by trial division of 3(n+4).
     """
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
+    dim_harmonic(n, 4)  # a ValueError naming n unless it is an integer >= 2
+    n = operator.index(n)
+    if n >= 2 ** 32:
+        raise ValueError(f"the exact tightness path takes n < 2^32, got n={n}")
     return QuadExt.sqrt(Fraction(3, n + 4))

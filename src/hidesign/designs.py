@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .exactnum import RationalPoly
-from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, dim_harmonic, q_eval
+from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, _recurrence, dim_harmonic, q_eval
 
 __all__ = [
     "InvalidPointSetError",
@@ -92,7 +92,8 @@ class PointSet:
             raise InvalidPointSetError(
                 f"points have {pts.shape[1]} coordinates, expected dim={self.dim}"
             )
-        norms = np.linalg.norm(pts, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, reported below
+            norms = np.linalg.norm(pts, axis=1)
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN and inf too
         if len(bad):
             raise InvalidPointSetError(
@@ -164,12 +165,14 @@ class PointSet:
             pts = np.array(body["points"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidPointSetError(f"points are not parseable numbers: {exc}") from exc
-        dim, labels = body["dim"], body.get("labels")
+        dim, labels, source = body["dim"], body.get("labels"), body.get("source", "")
         if type(dim) is not int:  # a JSON integer: no bool, float or string
             raise InvalidPointSetError(f'"dim" must be an integer, got {dim!r:.80}')
         if labels is not None and not (type(labels) is list and all(type(s) is str for s in labels)):
             raise InvalidPointSetError(f'"labels" must be null or a list of strings, got {labels!r:.80}')
-        return cls(dim, pts, tuple(labels) if labels is not None else None, str(body.get("source", "")))
+        if type(source) is not str:
+            raise InvalidPointSetError(f'"source" must be a string, got {source!r:.80}')
+        return cls(dim, pts, tuple(labels) if labels is not None else None, source)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -218,9 +221,9 @@ class KernelCertificate:
 def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
     """Kernel sums at ascending degrees, dim * sum_i c_i mu_{k-2i} at degree k:
     c from _chebyshev_weights, moments mu_j = sum over pairs of T_j(<x,y>) where
-    some c is nonzero.  Per upper-triangle Gram block T_j = 2x T_{j-1} - T_{j-2}
-    runs in place, a multiply and a subtract per degree, and the block adds twice
-    its sum less its leading square's (diagonal, both orders): O(t m^2) time."""
+    some c is nonzero.  Each upper-triangle Gram block runs _recurrence(2, t) in
+    place, a multiply and a subtract per degree, and adds twice its sum less its
+    leading square's (diagonal, both orders): O(t m^2) time.  mu_0 = |X|^2."""
     degrees = tuple(degrees)
     if not degrees or degrees[0] < 1:
         raise ValueError("degree must be >= 1")
@@ -228,17 +231,12 @@ def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
     if len(X) ** 2 * dim_harmonic(n, top) > sys.float_info.max:  # |sum| <= m^2 Q(1)
         raise ValueError(f"kernel sums of {len(X)} points at n={n}, t={top} exceed float64")
     weights = {k: _chebyshev_weights(n, k) for k in degrees}
-    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()}
+    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()} - {0}
     mu = np.zeros(top + 1)
     for _, x in _gram_blocks(X.points):
-        s, two_x, prev, cur, spare = len(x), 2 * x, np.ones_like(x), x, np.empty_like(x)
-        for j in range(1, top + 1):
-            if j > 1:
-                np.multiply(two_x, cur, out=spare)
-                spare -= prev
-                prev, cur, spare = cur, spare, prev
+        for j, tj in enumerate(_recurrence(2, top, x)):  # each T_j used before the next is asked for
             if j in need:
-                mu[j] += 2 * float(cur.sum()) - float(cur[:, :s].sum())
+                mu[j] += 2 * float(tj.sum()) - float(tj[:, :len(x)].sum())
     mu[0] = len(X) ** 2
     sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
     raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
@@ -253,7 +251,7 @@ def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
     """Check the kernel criterion at every degree 1..t (full design test): one
-    Chebyshev pass per upper-triangle Gram block gives all t sums in
+    _recurrence(2, t) pass per upper-triangle Gram block gives all t sums in
     O(t * m^2) time, with memory a few blocks of _GRAM_BLOCK = 16384 entries,
     not an m x m array."""
     return _certificate(X, range(1, t + 1), tol)

@@ -76,29 +76,31 @@ class MinimumReport:
 
 def _recurrence(n: int, t: int, x) -> Iterator:
     """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
-    Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0),
-    else the Gegenbauer C_k^lambda with lambda = (n-2)/2.
-
-    x is an ndarray or a float, taken through the same IEEE operations in the
-    order of 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2}, then / k.  On an
-    array the augmented assignments update three rotating buffers of x's shape
-    in place: a yielded array is overwritten two steps later, so a caller may
-    keep the last two.  x itself is never written.  On a float they rebind,
-    about ten times faster per step than a one-element array."""
+    Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0;
+    designs takes its moments from here), else the Gegenbauer C_k^lambda with
+    lambda = (n-2)/2.  x is an ndarray or a float, taken through the same IEEE
+    operations: (2x)*T_{k-1} - T_{k-2}, 2x formed once (x*2 is exact, so the
+    bits of (x*2)*T_{k-1}), else 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2},
+    then / k.  On an array the augmented assignments update three rotating
+    buffers of x's shape in place: a yielded array is overwritten two steps
+    later, so a caller may keep the last two.  x itself is never written.  On
+    a float they rebind, about ten times faster per step than a one-element array."""
     lam, arr = (n - 2) / 2, isinstance(x, np.ndarray)
-    prev, cur = np.ones_like(x) if arr else 1.0, +x if n == 2 else 2 * lam * x  # +x copies an array
+    prev, spare = (np.ones_like(x), np.empty_like(x)) if arr else (1.0, 0.0)
+    cur, two_x = (+x, 2 * x) if n == 2 else (2 * lam * x, None)  # +x copies an array
     yield prev
     if t:
         yield cur
-    spare = np.empty_like(x) if arr else 0.0
     for k in range(2, t + 1):
-        m = 2 if n == 2 else 2 * (k + lam - 1)
-        spare = np.multiply(x, m, out=spare) if arr else x * m
-        spare *= cur
-        if n != 2:
+        if n == 2:  # two passes
+            spare = np.multiply(two_x, cur, out=spare) if arr else two_x * cur
+            spare -= prev
+        else:
+            m = 2 * (k + lam - 1)
+            spare = np.multiply(x, m, out=spare) if arr else x * m
+            spare *= cur
             prev *= k + 2 * lam - 2
-        spare -= prev
-        if n != 2:
+            spare -= prev
             spare /= k
         prev, cur, spare = cur, spare, prev
         yield cur

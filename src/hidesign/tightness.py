@@ -22,7 +22,6 @@ import numpy as np
 
 from .bounds import tight_inner_product
 from .exactnum import QuadExt, fraction_free_rank
-from .orthopoly import dim_harmonic
 
 __all__ = [
     "GraphFormatError",
@@ -342,13 +341,11 @@ class TightnessDossier:
 
 
 def tightness_dossier(n: int) -> TightnessDossier:
-    """Assemble the degree-4 feasibility verdicts for dimension n >= 2."""
-    dim_harmonic(n, 4)  # a ValueError unless n is an integer >= 2
-    n = int(n)
-    t = 4
+    """Assemble the degree-4 feasibility verdicts for 2 <= n < 2^32, the limit of tight_inner_product."""
+    alpha = tight_inner_product(n)  # a ValueError unless n is an integer in [2, 2^32)
+    n, t = int(n), 4
     b_exact = Fraction((n + 1) * (n + 2), 6)
     integral = n % 3 != 0
-    alpha = tight_inner_product(n)
     ratio_sq = (1 + alpha) / (1 - alpha)
     absolute_bound = n * (n + 1) // 2
     verdicts: list[Verdict] = []
@@ -388,22 +385,16 @@ def tightness_dossier(n: int) -> TightnessDossier:
                        f"{', '.join(map(str, V))}")
             # P_3(x) < 0 iff (m+2)x^2 < 3 for x > 0, > 3 for x < 0.  With
             # alpha^2 = 3/(m+5) both hold for every m: plus < alpha, and for
-            # minus the condition reduces to alpha^2 < alpha.  The check below
-            # only guards the certificate's premise.
-            if all(x.sign() < 0 for x in p3):
-                delsarte_bound = 1 + max(-1 / x for x in p3)
-                verdicts.append(Verdict(
-                    "delsarte-reduced",
-                    "fail" if (delsarte_bound - (b_exact - 1)).sign() < 0 else "pass",
-                    f"reduction to {reduced}; the degree-3 Delsarte bound allows "
-                    f"at most {delsarte_bound} of them, against b - 1 = {b_exact - 1}",
-                ))
-            else:
-                verdicts.append(Verdict(
-                    "delsarte-reduced",
-                    "inapplicable",
-                    f"reduction to {reduced}; P_3 is not negative at every one",
-                ))
+            # minus the condition reduces to alpha^2 < alpha: an invariant, checked here.
+            if not all(x.sign() < 0 for x in p3):
+                raise ArithmeticError(f"P_3 is not negative on the reduced inner products at n = {n}")
+            delsarte_bound = 1 + max(-1 / x for x in p3)
+            verdicts.append(Verdict(
+                "delsarte-reduced",
+                "fail" if (delsarte_bound - (b_exact - 1)).sign() < 0 else "pass",
+                f"reduction to {reduced}; the degree-3 Delsarte bound allows "
+                f"at most {delsarte_bound} of them, against b - 1 = {b_exact - 1}",
+            ))
 
         lrs_applicable = b_exact > 2 * n + 3
         if lrs_applicable:

@@ -1,6 +1,8 @@
 """Fisher-type bounds, table formatting, Bessel asymptotics."""
 
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +151,18 @@ class TestAsymptote:
         with pytest.raises(ValueError):
             asymptotic_bound(2)
 
+    @pytest.mark.parametrize("n", [7.5, 7.0, "7", None])
+    def test_non_integer_n_named(self, n):
+        # 7.5 once gave a report for a dimension that does not exist, 7.0 reported n=7.0
+        with pytest.raises(ValueError, match=re.escape(f"asymptote requires an integer n, got {n!r}") + "$"):
+            asymptotic_bound(n)
+
+    def test_numpy_integer_stored_as_int(self):
+        rep = asymptotic_bound(np.int64(7))
+        assert type(rep.n) is int and rep == asymptotic_bound(7)
+        # np.int64 in as_dict once made json.dumps raise TypeError
+        assert json.loads(json.dumps(rep.as_dict())) == json.loads(json.dumps(asymptotic_bound(7).as_dict()))
+
     def test_n320_keeps_the_unguarded_values(self):
         # the last n before 1/F overflows: F is within a factor 300 of underflow
         rep = asymptotic_bound(320)
@@ -248,3 +262,23 @@ class TestTightInnerProduct:
             v = tight_inner_product(n)
             assert v * v == Fraction(3, n + 4)
             assert v.sign() == 1
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+    def test_non_integer_n_named(self, n):
+        # Fraction once raised TypeError on 4.0 and 4.5
+        with pytest.raises(ValueError, match=re.escape(f"must be integers, got n={n!r}, t=4") + "$"):
+            tight_inner_product(n)
+
+    def test_numpy_integer_accepted(self):
+        assert tight_inner_product(np.int64(23)) == tight_inner_product(23) == Fraction(1, 3)
+
+    def test_limit_of_the_exact_path(self):
+        # n + 4 = 4294967291 is the largest prime below 2^32 + 4: the longest trial division allowed
+        for n in (4294967287, 2 ** 32 - 1):
+            v = tight_inner_product(n)
+            assert v * v == Fraction(3, n + 4)
+        for n in (2 ** 32, 4294967353, 10000000000000057, np.int64(2 ** 40)):
+            with pytest.raises(ValueError, match=f"takes n < 2\\^32, got n={n}$"):
+                tight_inner_product(n)
+        with pytest.raises(ValueError, match="must be >= 2, got 1$"):
+            tight_inner_product(1)

@@ -335,6 +335,27 @@ class TestSubprocess:
         assert proc.stderr == ("error: could not isolate the 1000 roots of Q_{402,1000} on 2403 grid "
                                "points: the recurrence overflowed float64\n")
 
+    @pytest.mark.parametrize("body, message", [
+        ({"dim": 2, "points": [["1e308", "0"], ["0", "1"]]}, "point 0 has norm inf, not 1 within 1e-12"),
+        ({"dim": 2, "points": [["1", "0"], ["0", "1"]], "source": None}, '"source" must be a string, got None'),
+    ], ids=["overflowing-norm", "null-source"])
+    def test_bad_point_set_prints_only_the_error_line(self, tmp_path, body, message):
+        # numpy's overflow warning once came before the error line
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        proc = subprocess.run([sys.executable, "-m", "hidesign", "verify", "--in", str(bad), "--t", "2"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+    def test_tight_beyond_the_exact_limit_exits_2_at_once(self):
+        # n + 4 prime: the trial division of 3(n+4) once ran for every QuadExt
+        # operation of the dossier; the second n did not finish in 30 s
+        for n in (4294967353, 10000000000000057):
+            proc = subprocess.run([sys.executable, "-m", "hidesign", "tight", "--n", str(n)],
+                                  capture_output=True, text=True, timeout=30)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: the exact tightness path takes n < 2^32, got n={n}\n"
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hidesign", "table"],

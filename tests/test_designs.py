@@ -131,6 +131,37 @@ class TestPointSet:
         assert not np.any((X.points == 0) & np.signbit(X.points))
         assert '"-0"' not in X.to_json()
 
+    @pytest.mark.parametrize("source", [None, 5, ["a"], True, {"a": 1}, 2.5])
+    def test_source_must_be_a_string(self, source):
+        # str() once read null as 'None', 5 as '5', ["a"] as "['a']" and true as 'True'
+        body = json.dumps({"dim": 2, "points": [["1", "0"], ["0", "1"]], "source": source})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointSetError, match=r'"source" must be a string, got '
+                                                           + re.escape(repr(source)) + "$"):
+                PointSet.from_json(body)
+
+    def test_source_string_or_absent(self):
+        body = {"dim": 2, "points": [["1", "0"], ["0", "1"]]}
+        assert PointSet.from_json(json.dumps(body)).source == ""
+        X = PointSet.from_json(json.dumps({**body, "source": "None"}))
+        assert X.source == "None" and PointSet.from_json(X.to_json()).source == "None"
+        long = [str(i) for i in range(100)]
+        with pytest.raises(InvalidPointSetError) as info:
+            PointSet.from_json(json.dumps({**body, "source": long}))
+        assert str(info.value) == '"source" must be a string, got ' + repr(long)[:80]
+
+    @pytest.mark.parametrize("row", [["1e308", "0"], ["1e308", "1e308"], ["-1.7e308", "1"]])
+    def test_overflowing_norm_is_reported_without_a_warning(self, row):
+        # np.linalg.norm once printed "overflow encountered in multiply" first
+        text = json.dumps({"dim": 2, "points": [row, ["0", "1"]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointSetError, match="^point 0 has norm inf, not 1 within 1e-12$"):
+                PointSet.from_json(text)
+            with pytest.raises(InvalidPointSetError, match="^point 1 has norm inf"):
+                PointSet(2, [[0.0, 1.0], [float(v) for v in row]])
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coordinates(self, bad):
         # nan > tol is False, so a NaN would slip past the norm and distinctness checks
@@ -511,6 +542,65 @@ class TestChebyshevMoments:
         assert cert.raw_sums[0] == pytest.approx(200 * float(dim_harmonic(200, 2426)), rel=1e-12)
         with pytest.raises(ValueError, match="n=200, t=2427"):
             verify_harmonic_index(X, 2427)
+
+
+def loop_certificate(X: PointSet, degrees, tol: float = designs.DEFAULT_VERIFY_TOL) -> designs.KernelCertificate:
+    """_certificate as it was with its own Chebyshev loop: per Gram block,
+    T_j = 2x T_{j-1} - T_{j-2} in place on three buffers, T_1 the block itself."""
+    degrees = tuple(degrees)
+    n, top = X.dim, degrees[-1]
+    weights = {k: _chebyshev_weights(n, k) for k in degrees}
+    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()}
+    mu = np.zeros(top + 1)
+    for _, x in designs._gram_blocks(X.points):
+        s, two_x, prev, cur, spare = len(x), 2 * x, np.ones_like(x), x, np.empty_like(x)
+        for j in range(1, top + 1):
+            if j > 1:
+                np.multiply(two_x, cur, out=spare)
+                spare -= prev
+                prev, cur, spare = cur, spare, prev
+            if j in need:
+                mu[j] += 2 * float(cur.sum()) - float(cur[:, :s].sum())
+    mu[0] = len(X) ** 2
+    sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
+    raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
+    residuals = tuple(abs(v) / len(X) for v in sums)
+    return designs.KernelCertificate(n, degrees, raws, residuals, tol)
+
+
+LOOP_SETS = {
+    **{f"random m={m} n={n}": (lambda m=m, n=n: PointSet(n, random_points(m, n, seed=1000 * n + m)), t)
+       for m, n, t in TestChebyshevMoments.CASES},
+    **{f"random m={MULTI_BLOCK_M + 3} n={n}": (
+        lambda n=n: PointSet(n, random_points(MULTI_BLOCK_M + 3, n, seed=n)), t) for n, t in [(2, 12), (3, 9), (8, 7)]},
+    **{name: (lambda name=name: generate(name), 60) for name in ("icosahedron_half", "e8_half", "cell600_half")},
+    **{f"{name}+antipodes": (lambda name=name: generate(name).union_with_antipodes(), 30)
+       for name in ("icosahedron_half", "e8_half", "cell600_half")},
+    "regular_polygon(300)": (lambda: generate("regular_polygon", m=300), 299),
+}
+
+
+class TestCertificateAgainstLoop:
+    """The certificate takes its T_j from orthopoly._recurrence(2, t, block):
+    raw sums and residuals equal, bit for bit, those of its former own loop."""
+
+    @pytest.mark.parametrize("name", list(LOOP_SETS))
+    def test_spherical_mode(self, name):
+        build, t = LOOP_SETS[name]
+        X = build()
+        cert = verify_spherical_design(X, t)
+        want = loop_certificate(X, range(1, t + 1))
+        assert (cert.raw_sums, cert.residuals) == (want.raw_sums, want.residuals)
+        assert cert == want
+
+    @pytest.mark.parametrize("name", list(LOOP_SETS))
+    def test_single_degree_mode(self, name):
+        build, t = LOOP_SETS[name]
+        X = build()
+        for k in sorted({1, 2, 3, t // 2, t - 1, t} - {0}):
+            cert = verify_harmonic_index(X, k)
+            want = loop_certificate(X, [k])
+            assert (cert.raw_sums, cert.residuals) == (want.raw_sums, want.residuals), k
 
 
 class TestLift:

@@ -168,6 +168,68 @@ class TestRecurrenceBuffers:
         np.testing.assert_allclose(prev, want[0], rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(cur, want[1], rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_last_two_yields_intact_at_every_step(self, n):
+        # the contract designs._certificate relies on at n = 2: a Gram block
+        # (2-d) is never written, and a yield survives the next one
+        x = np.cos(np.linspace(0, 3, 35)).reshape(5, 7)
+        before, held = x.copy(), []
+        for p in _recurrence(n, 9, x):
+            assert p.shape == x.shape and p is not x
+            held = held[-1:] + [(p, p.copy())]
+            assert all(np.array_equal(a, kept) for a, kept in held)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_degrees_zero_and_one(self, n):
+        x = np.array([-0.5, 0.25])
+        assert [p.tolist() for p in _recurrence(n, 0, x)] == [[1.0, 1.0]]
+        ones, first = _recurrence(n, 1, x)
+        assert ones.tolist() == [1.0, 1.0] and first.tolist() == (x if n == 2 else 2 * (n - 2) / 2 * x).tolist()
+        assert first is not x
+        assert list(_recurrence(n, 1, 0.5)) == [1.0, 0.5 if n == 2 else (n - 2) * 0.5]
+
+
+def circle_recurrence_before_hoisting(t: int, x) -> list:
+    """T_0..T_t as the circle step was written before 2x was formed once per
+    call: (x*2)*T_{k-1} - T_{k-2}, with x*2 formed at every step."""
+    out = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, x]
+    for _ in range(2, t + 1):
+        out.append((x * 2) * out[-1] - out[-2])
+    return out[:t + 1]
+
+
+def hex_values(v) -> list[str]:
+    return [float(e).hex() for e in np.ravel(v)]
+
+
+class TestCircleStepBits:
+    """Forming 2x once changes no bit: x*2 is exact, so (2x)*T equals (x*2)*T."""
+
+    POINTS = np.concatenate([np.linspace(-1, 1, 257), np.cos(np.linspace(0, math.pi, 101)),
+                             np.random.default_rng(18).uniform(-1, 1, 200),
+                             [-3.0, -1.5, 1.5, 3.0, 5e-324, -2.5e-310, 1e-200, 0.0, -0.0]])
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 30, 60])
+    def test_arrays(self, t):
+        # the buffers rotate, so each T_k is compared as it is yielded
+        want = circle_recurrence_before_hoisting(t, self.POINTS)
+        got = [hex_values(p) for p in _recurrence(2, t, self.POINTS)]
+        assert got == [hex_values(p) for p in want]
+
+    def test_floats(self):
+        for x in self.POINTS[::3].tolist():
+            for t in (0, 1, 2, 5, 31, 60):
+                got = [float(p).hex() for p in _recurrence(2, t, x)]
+                assert got == [float(p).hex() for p in circle_recurrence_before_hoisting(t, x)], (x, t)
+
+    def test_q_eval_on_the_circle(self):
+        for t in range(61):
+            want = 2 * circle_recurrence_before_hoisting(t, self.POINTS)[-1] if t else np.ones_like(self.POINTS)
+            assert hex_values(q_eval(KernelSpec(2, t), self.POINTS)) == hex_values(want)
+            assert q_eval(KernelSpec(2, t), 0.3).hex() == hex_values(
+                2 * circle_recurrence_before_hoisting(t, 0.3)[-1] if t else 1.0)[0]
+
 
 class TestQRoots:
     def test_3_4_closed_form(self):

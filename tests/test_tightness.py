@@ -347,6 +347,22 @@ class TestDossier:
             tightness_dossier(5.0)
         assert tightness_dossier(np.int64(23)).as_dict() == tightness_dossier(23).as_dict()
 
+    def test_limit_of_the_exact_path(self):
+        # n + 4 = 4294967291 is prime; beyond 2^32 the trial division of
+        # 3(n+4), repeated in every QuadExt operation, took seconds
+        assert tightness_dossier(4294967287).status == "excluded"
+        for n in (2 ** 32, 4294967353, 10000000000000057):
+            with pytest.raises(ValueError, match=f"takes n < 2\\^32, got n={n}$"):
+                tightness_dossier(n)
+
+    def test_nonnegative_p3_is_a_broken_invariant(self, monkeypatch):
+        # the comment in tightness_dossier proves P_3 < 0 on the reduced
+        # inner products for every n; a reduction breaking that raises
+        fake = tightness.MusinReduction(QuadExt(Fraction(9, 10)), QuadExt(Fraction(-1, 2)), False, False)
+        monkeypatch.setattr(tightness, "musin_reduce", lambda alpha: fake)
+        with pytest.raises(ArithmeticError, match="^P_3 is not negative on the reduced inner products at n = 5$"):
+            tightness_dossier(5)
+
     def test_n2_exists(self):
         d = tightness_dossier(2)
         assert d.status == "exists"

@@ -48,6 +48,7 @@ INPUTS = {
     "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
     "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
     "s2_500.json": _sphere_points(500, 3, 500),
+    "huge.json": json.dumps({"dim": 2, "points": [["1e308", "0"], ["0", "1"]]}).encode(),
 }
 MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half"),
         ("poly300.json", "regular-polygon --m 300"), ("c600.json", "cell600-half")]
@@ -152,6 +153,12 @@ CASES = [  # (argv, extra environment)
     ("table --n 400 --t 1001", {}),
     # (n-1)/2 = 2^51, the first Bessel order refused: jv shows no sign change near the zero
     ("asymptote --n 4503599627370497", {}),
+    # a base whose "source" is null was read as the string 'None'
+    ("construct lift --base pent_null_source.json --n 3 --t 4", {}),
+    # np.linalg.norm printed an overflow warning before the error line
+    ("verify --in huge.json --t 2", {}),
+    # n just above 2^32 with n + 4 prime: the exact path now refuses it at once
+    ("tight --n 4294967353", {}),
 ]
 
 
@@ -179,6 +186,8 @@ def main() -> int:
             subprocess.run([sys.executable, "-m", "hidesign", "construct", *kind.split(),
                             "--out", str(inputs / name)], check=True,
                            env=dict(os.environ, PYTHONPATH=str(old.resolve())))
+        pent = json.loads((inputs / "pent.json").read_text())
+        (inputs / "pent_null_source.json").write_text(json.dumps({**pent, "source": None}))
         for name, made, call in DERIVED:
             code = (f"from hidesign.designs import PointSet; "
                     f"PointSet.load({str(inputs / made)!r}).{call}.save({str(inputs / name)!r})")
