@@ -6,67 +6,13 @@ evaluates the associated reproducing kernels, constructs and verifies such
 designs (including the lift of a circle design to the sphere), computes the
 Fisher-type cardinality bound with its Bessel-function large-degree limit,
 and runs the exact feasibility tests that rule out minimum-size designs.
+The public API is each module's ``__all__``, re-exported here.
 """
 
-from .bounds import (
-    AsymptoteReport,
-    BoundReport,
-    asymptotic_bound,
-    bound_table,
-    fisher_bound,
-    format_bound,
-    tight_inner_product,
-)
-from .designs import (
-    InnerProductSet,
-    InvalidPointSetError,
-    KernelCertificate,
-    PointSet,
-    eval_h4_basis_sum,
-    generate,
-    harmonic_index_spectrum,
-    inner_product_set,
-    lift_design,
-    list_generators,
-    separated_component_sums,
-    verify_harmonic_index,
-    verify_spherical_design,
-)
-from .exactnum import (
-    IncompatibleRadicandError,
-    QuadExt,
-    Rational,
-    RationalPoly,
-    fraction_free_rank,
-    poly_gcd,
-    squarefree_part,
-    sturm_count_roots,
-)
-from .orthopoly import (
-    KernelSpec,
-    MinimumReport,
-    bessel_first_zero,
-    bessel_j,
-    dim_harmonic,
-    q_eval,
-    q_min,
-    q_roots,
-)
-from .tightness import (
-    EmbedResult,
-    GraphFormatError,
-    MusinReduction,
-    ScanRecord,
-    TightnessDossier,
-    TwoDistGraph,
-    es_embeddable,
-    es_matrices,
-    lrs_check,
-    musin_reduce,
-    read_adjacency_json,
-    read_graph6,
-    scan_graph_corpus,
-    tightness_dossier,
-)
+from .bounds import *
+from .designs import *
+from .exactnum import *
+from .orthopoly import *
+from .tightness import *
 
 __version__ = "0.1.0"

@@ -273,8 +273,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every package error type is a ValueError; a RuntimeError reports a float
-    # computation that cannot finish, such as a kernel recurrence overflowing
-    except (ValueError, OSError, RuntimeError) as exc:
+    # computation that cannot finish, such as a kernel recurrence overflowing,
+    # and a MemoryError an array too large to allocate, such as a root grid at huge n
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADINPUT
 

@@ -16,7 +16,6 @@ from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "QuadExt",
     "IncompatibleRadicandError",
     "RationalPoly",
@@ -26,11 +25,6 @@ __all__ = [
     "fraction_free_rank",
     "squarefree_decompose",
 ]
-
-# Reduced numerator/denominator with positive denominator, exactly the
-# invariants we need; no reason to reimplement the stdlib type.
-Rational = Fraction
-
 
 class IncompatibleRadicandError(ValueError):
     """Raised when two QuadExt values with different irrational parts meet."""
@@ -103,7 +97,10 @@ class QuadExt:
 
     @classmethod
     def parse(cls, text: str) -> "QuadExt":
-        """Parse literals like "2", "7/4", "(7+√33)/4" or "1/2+3/4*sqrt(5)"."""
+        """Parse literals like "2", "7/4", "(7+√33)/4" or "1/2+3/4*sqrt(5)".
+
+        This reads back the text form: ``QuadExt.parse(str(q)) == q``.
+        """
         s = text.strip().replace(" ", "").replace("sqrt", "√").replace("*", "")
         s = re.sub(r"√\((\d+)\)", r"√\1", s)
         den = 1
@@ -263,15 +260,6 @@ class QuadExt:
             return f"-{surd}" if self.b < 0 else surd
         return f"{self.a} {sign} {surd}"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "d": self.d}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadExt":
-        return cls(Fraction(data["a"]), Fraction(data["b"]), int(data["d"]))
-
 
 class RationalPoly:
     """Univariate polynomial with exact rational coefficients.
@@ -306,16 +294,10 @@ class RationalPoly:
         return self.coeffs[-1]
 
     def __call__(self, x):
-        """Exact Horner evaluation at a rational (or QuadExt) point."""
+        """Horner evaluation: exact at a rational or QuadExt point, in floats at a float."""
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
         return acc
 
     def derivative(self) -> "RationalPoly":

@@ -102,12 +102,17 @@ class MusinReduction:
     degenerate: bool
 
 
-def musin_reduce(alpha: QuadExt) -> MusinReduction:
-    """Reduce inner products +-alpha (0 < alpha < 1, exactly) by one sphere."""
-    if not isinstance(alpha, QuadExt):
-        alpha = QuadExt(alpha)
+def _unit_interval_alpha(alpha) -> QuadExt:
+    """alpha as a QuadExt, checked to lie strictly between 0 and 1."""
+    alpha = alpha if isinstance(alpha, QuadExt) else QuadExt(alpha)
     if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    return alpha
+
+
+def musin_reduce(alpha: QuadExt) -> MusinReduction:
+    """Reduce inner products +-alpha (0 < alpha < 1, exactly) by one sphere."""
+    alpha = _unit_interval_alpha(alpha)
     plus = alpha / (1 + alpha)
     minus = (-alpha) / (1 - alpha)
     half = Fraction(1, 2)
@@ -128,10 +133,7 @@ def lrs_check(alpha: QuadExt) -> Optional[int]:
     an integer >= 2, else None.  Applicability (the set must have more than
     2n+3 points) is the caller's concern.
     """
-    if not isinstance(alpha, QuadExt):
-        alpha = QuadExt(alpha)
-    if alpha.sign() <= 0 or (alpha - 1).sign() >= 0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    alpha = _unit_interval_alpha(alpha)
     k = (1 + alpha) / (2 * alpha)
     if not k.is_rational:
         return None

@@ -1,6 +1,6 @@
-"""Randomized property suites shared by the module tests and the acceptance
-run.  Each suite executes a number of seeded trials and returns a list of
-failure descriptions; an empty list means every trial held."""
+"""Randomized property suites, run by criterion 7 of the acceptance tests.
+Each suite executes a number of seeded trials and returns a list of failure
+descriptions; an empty list means every trial held."""
 
 from __future__ import annotations
 

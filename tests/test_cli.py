@@ -67,6 +67,12 @@ class TestTable:
         code2, out2, _ = run(capsys, "table", "--n", "3..4", "--t", "4..8", "--format", "json")
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_unallocatable_root_grid_is_one_error_line(self, capsys):
+        # n = 2^60: a 4 EiB grid, beyond every address space, so numpy fails at once
+        code, out, err = run(capsys, "table", "--n", str(2**60), "--t", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
 
 class TestConstructAndVerify:
     def test_icosahedron_roundtrip(self, tmp_path, capsys):

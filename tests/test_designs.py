@@ -834,4 +834,4 @@ class TestFivePointZData:
             u3 = np.cross(u1, u2)
             for p in pts[2:]:
                 z = float(p @ u3)
-                assert abs(FIVE_POINT_Z_MINPOLY.eval_float(z)) < 1e-10
+                assert abs(FIVE_POINT_Z_MINPOLY(z)) < 1e-10

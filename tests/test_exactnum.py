@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: quadratic surds, polynomials, Sturm, rank."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -93,10 +94,18 @@ class TestQuadExt:
         with pytest.raises(ValueError):
             QuadExt.parse("three")
 
-    def test_dict_round_trip(self):
-        v = QuadExt(Fraction(7, 4), Fraction(1, 4), 33)
-        assert QuadExt.from_dict(v.to_dict()) == v
-        assert v.to_dict() == {"a": "7/4", "b": "1/4", "d": 33}
+    def test_text_round_trip(self):
+        # str(q) is the text form the dossier JSON writes; parse reads it back
+        rng = random.Random(20)
+
+        def rational():
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+        values = [QuadExt(Fraction(7, 4), Fraction(1, 4), 33), QuadExt(0, -1, 5), QuadExt(0, 1, 12),
+                  QuadExt(Fraction(-7, 4), Fraction(-1, 4), 33), QuadExt(Fraction(-3, 2))]
+        values += [QuadExt(rational(), rational(), rng.choice([1, 2, 3, 5, 6, 12, 33])) for _ in range(500)]
+        for v in values:
+            assert QuadExt.parse(str(v)) == v, str(v)
 
     def test_squarefree_decompose(self):
         assert squarefree_decompose(81) == (9, 1)
@@ -160,6 +169,20 @@ class TestRationalPoly:
         g = poly_gcd(p, p.derivative())
         assert g == RationalPoly([-1, 1])
         assert squarefree_part(p) == RationalPoly([-1, 0, 1])
+
+    def test_float_point_runs_float_horner(self):
+        # adding a Fraction to a float converts the Fraction first, so p(x) at a
+        # float x takes the same IEEE steps as a float Horner loop
+        rng = random.Random(16)
+        for _ in range(300):
+            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(rng.randint(0, 16))]
+            coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 40)))
+            x = rng.uniform(-3.0, 3.0)
+            acc = 0.0
+            for c in reversed(coeffs):
+                acc = acc * x + float(c)
+            got = RationalPoly(coeffs)(x)
+            assert type(got) is float and got.hex() == acc.hex()
 
     def test_json_round_trip(self):
         p = RationalPoly([Fraction(1, 3), Fraction(-2, 7), 1])

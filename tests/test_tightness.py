@@ -75,6 +75,13 @@ class TestMusin:
             musin_reduce(QuadExt(Fraction(3, 2)))
 
 
+@pytest.mark.parametrize("check", [musin_reduce, lrs_check])
+@pytest.mark.parametrize("alpha", [QuadExt(0), QuadExt(1), QuadExt(Fraction(3, 2))])
+def test_alpha_domain_is_one_check(check, alpha):
+    with pytest.raises(ValueError, match=f"^alpha must lie strictly between 0 and 1, got {alpha}$"):
+        check(alpha)
+
+
 class TestLRS:
     def test_one_third_gives_k2(self):
         assert lrs_check(QuadExt(Fraction(1, 3))) == 2
@@ -478,15 +485,3 @@ class TestDelsarteCertificate:
             bound = float(tightness_dossier(n).delsarte_bound)
             assert abs(1 + res.fun - bound) <= 1e-9 * bound, n
 
-
-class TestLRSClassification:
-    def test_equivalence_up_to_ten_thousand(self):
-        odd_p_dims = {3 * p * p - 4 for p in range(3, 60, 2) if 3 * p * p - 4 <= 10_000}
-        for n in range(11, 10_001):
-            k = lrs_check(tight_inner_product(n))
-            if k is not None:
-                p = 2 * k - 1
-                assert n == 3 * p * p - 4
-                assert n in odd_p_dims
-            else:
-                assert n not in odd_p_dims

@@ -159,6 +159,10 @@ CASES = [  # (argv, extra environment)
     ("verify --in huge.json --t 2", {}),
     # n just above 2^32 with n + 4 prime: the exact path now refuses it at once
     ("tight --n 4294967353", {}),
+    # n = 2^60: the 4 EiB root grid ended in a numpy traceback, exit 1
+    ("table --n 1152921504606846976 --t 7", {}),
+    # n = 2^70 was already one error line
+    ("table --n 1180591620717411303424 --t 7", {}),
 ]
 
 
