@@ -9,6 +9,7 @@ constructions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -67,16 +68,26 @@ def _gram_blocks(pts: np.ndarray):
         i += s
 
 
+@functools.lru_cache(maxsize=32)
+def _probe(dim: int) -> np.ndarray:
+    """The fixed generic unit vector, read-only, that PointSet projects its points onto."""
+    u = np.random.default_rng(0).standard_normal(dim)
+    u /= np.linalg.norm(u)
+    u.setflags(write=False)
+    return u
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite list of unit vectors in R^dim with optional labels and provenance.
 
     Invariants checked at construction: nonempty; every point finite with unit
-    norm within 1e-12; points pairwise distinct (distance > 1e-9), screened on
-    the upper-triangle Gram blocks of _gram_blocks (entries within rounding of
-    1, each block's own diagonal masked) and confirmed by the exact difference
-    norm, as float64 2 - 2<x,y> cannot resolve distances below about 1e-8.
-    No m x m array is formed.  The coordinates are made read-only.
+    norm within 1e-12; points pairwise distinct (distance > 1e-9): points whose
+    projection on _probe(dim) is within 1e-9 of a sorted neighbour's are screened
+    on the upper-triangle Gram blocks of _gram_blocks (entries within rounding of
+    1, each block's own diagonal masked), confirmed by the exact difference norm,
+    as float64 2 - 2<x,y> cannot resolve distances below about 1e-8.  O(m n +
+    m log m); O(m^2 n), no m x m array, if all crowd.  Coordinates become read-only.
     """
 
     dim: int
@@ -98,15 +109,19 @@ class PointSet:
         if len(bad):
             raise InvalidPointSetError(
                 f"point {bad[0]} has norm {norms[bad[0]]:.17g}, not 1 within {NORM_TOL:g}")
-        # |x-y|^2 = |x|^2 + |y|^2 - 2<x,y> with unit norms: a pair closer than
-        # DISTINCT_TOL has a Gram entry above floor, after the dot's rounding
+        # |<x-y,u>| <= |x-y|: a pair closer than DISTINCT_TOL has projections that close,
+        # after the two dots' rounding, as has each sorted neighbour between them; with unit
+        # norms |x-y|^2 = 2 - 2<x,y>, so its Gram entry is above floor, after the dot's rounding
+        order = np.argsort(proj := pts @ _probe(self.dim))
+        gap = np.diff(proj[order]) <= DISTINCT_TOL + 2 * (self.dim + 2) * np.finfo(float).eps
+        crowd = np.sort(order[np.append(gap, False) | np.insert(gap, 0, False)])
         floor = 1 - 2 * NORM_TOL - DISTINCT_TOL ** 2 - 4 * (self.dim + 2) * np.finfo(float).eps
-        for i, block in _gram_blocks(pts):
+        for i, block in _gram_blocks(pts[crowd]):
             np.fill_diagonal(block, -np.inf)
             if block.max() < floor:
                 continue
             r, c = np.nonzero(block >= floor)
-            r, c = np.minimum(r, c) + i, np.maximum(r, c) + i  # the leading square has both orders
+            r, c = crowd[np.minimum(r, c) + i], crowd[np.maximum(r, c) + i]  # the leading square has both orders
             dist = np.linalg.norm(pts[r] - pts[c], axis=1)
             k = np.argmin(dist)
             if dist[k] <= DISTINCT_TOL:
@@ -218,12 +233,19 @@ class KernelCertificate:
         }
 
 
+def _low_moments(pts: np.ndarray) -> tuple[float, float, float]:
+    """mu_0..mu_2 of the rows in O(m n min(m, n)): |X|^2, |sum x|^2 and, as T_2 = 2x^2 - 1,
+    2 |X^T X|_F^2 - |X|^2, the squared Gram entries summing to |X^T X|_F^2 = |X X^T|_F^2."""
+    s, f = pts.sum(axis=0), (pts.T @ pts if len(pts) >= pts.shape[1] else pts @ pts.T)
+    return float(len(pts) ** 2), float(s @ s), 2 * float(np.vdot(f, f)) - len(pts) ** 2
+
+
 def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
     """Kernel sums at ascending degrees, dim * sum_i c_i mu_{k-2i} at degree k:
-    c from _chebyshev_weights, moments mu_j = sum over pairs of T_j(<x,y>) where
-    some c is nonzero.  Each upper-triangle Gram block runs _recurrence(2, t) in
-    place, a multiply and a subtract per degree, and adds twice its sum less its
-    leading square's (diagonal, both orders): O(t m^2) time.  mu_0 = |X|^2."""
+    c from _chebyshev_weights, moments mu_j = sum over pairs of T_j(<x,y>), from
+    _low_moments for j <= 2 (O(m n^2) time), else where some c is nonzero from an
+    O(t m^2) walk: each upper-triangle Gram block runs _recurrence(2, j) in place
+    and adds twice its sum less its leading square's (diagonal, both orders)."""
     degrees = tuple(degrees)
     if not degrees or degrees[0] < 1:
         raise ValueError("degree must be >= 1")
@@ -231,13 +253,13 @@ def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
     if len(X) ** 2 * dim_harmonic(n, top) > sys.float_info.max:  # |sum| <= m^2 Q(1)
         raise ValueError(f"kernel sums of {len(X)} points at n={n}, t={top} exceed float64")
     weights = {k: _chebyshev_weights(n, k) for k in degrees}
-    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()} - {0}
-    mu = np.zeros(top + 1)
-    for _, x in _gram_blocks(X.points):
-        for j, tj in enumerate(_recurrence(2, top, x)):  # each T_j used before the next is asked for
+    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()} - {0, 1, 2}
+    mu = np.zeros(max(top, 2) + 1)
+    mu[:3] = _low_moments(X.points)
+    for _, x in _gram_blocks(X.points) if need else ():
+        for j, tj in enumerate(_recurrence(2, max(need), x)):  # each T_j used before the next is asked for
             if j in need:
                 mu[j] += 2 * float(tj.sum()) - float(tj[:, :len(x)].sum())
-    mu[0] = len(X) ** 2
     sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
     raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
     residuals = tuple(abs(v) / len(X) for v in sums)
@@ -250,10 +272,9 @@ def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) 
 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
-    """Check the kernel criterion at every degree 1..t (full design test): one
-    _recurrence(2, t) pass per upper-triangle Gram block gives all t sums in
-    O(t * m^2) time, with memory a few blocks of _GRAM_BLOCK = 16384 entries,
-    not an m x m array."""
+    """Check the kernel criterion at every degree 1..t (full design test): O(m n^2)
+    time at t <= 2, and above one _recurrence(2, t) pass per upper-triangle Gram
+    block, O(t * m^2) time with memory a few blocks of _GRAM_BLOCK = 16384 entries."""
     return _certificate(X, range(1, t + 1), tol)
 
 

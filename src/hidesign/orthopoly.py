@@ -165,8 +165,12 @@ def _roots(n: int, t: int, largest: bool = False) -> np.ndarray:
     """q_roots' bracketing pass and polish, ascending.  With largest, only the
     last bracket is polished, in Python floats: the last entry is then still
     the largest root, and the others are grid zeros."""
-    half = np.sin(np.linspace(0.0, pi / 2, int(t + (n - 2) / 2 + 1) + 1))
-    grid = np.concatenate([-half[:0:-1], half])
+    size = int(t + (n - 2) / 2 + 1) + 1
+    try:
+        half = np.sin(np.linspace(0.0, pi / 2, size))
+        grid = np.concatenate([-half[:0:-1], half])
+    except (MemoryError, ValueError):  # numpy's texts name neither n nor t
+        raise ValueError(f"cannot allocate the {2 * size - 1}-point root grid of Q_{{{n},{t}}}") from None
     vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
     cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(cross) + np.count_nonzero(vals == 0) != t:

@@ -68,10 +68,11 @@ class TestTable:
         assert code1 == code2 == 0 and out1 == out2
 
     def test_unallocatable_root_grid_is_one_error_line(self, capsys):
-        # n = 2^60: a 4 EiB grid, beyond every address space, so numpy fails at once
+        # n = 2^60: a 4 EiB grid, beyond every address space, so numpy fails at
+        # once; the line names the kernel q_min solves, Q_{n+2,t-1}, and the grid size
         code, out, err = run(capsys, "table", "--n", str(2**60), "--t", "7")
         assert (code, out) == (2, "")
-        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert err == f"error: cannot allocate the {2**60 + 1}-point root grid of Q_{{{2**60 + 2},6}}\n"
 
 
 class TestConstructAndVerify:

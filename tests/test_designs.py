@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,87 @@ class TestDistinctness:
 
     def test_large_random_set_accepted(self):
         assert len(PointSet(3, random_points(MULTI_BLOCK_M, 3))) == MULTI_BLOCK_M
+
+
+def probe_orthogonal_points(m: int, n: int, seed: int = 1) -> np.ndarray:
+    """Random unit vectors in the hyperplane orthogonal to PointSet's probe:
+    every projection is within rounding of 0, so every point is screened.
+    (Seed 0 would not do: its first point is the probe itself.)"""
+    u = designs._probe(n)
+    pts = random_points(m, n, seed)
+    pts -= np.outer(pts @ u, u)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def screened_points(monkeypatch, n: int, pts: np.ndarray) -> int:
+    """How many points PointSet(n, pts) hands to the Gram-block screen."""
+    seen, walk = [], designs._gram_blocks
+    monkeypatch.setattr(designs, "_gram_blocks", lambda p: seen.append(len(p)) or walk(p))
+    PointSet(n, pts)
+    return sum(seen)
+
+
+class TestProjectionScreen:
+    """PointSet screens on the Gram blocks only points whose projection on
+    designs._probe(dim) is within DISTINCT_TOL of a sorted neighbour's."""
+
+    def test_probe_is_a_fixed_unit_vector(self):
+        u = designs._probe(8)
+        assert u is designs._probe(8) and not u.flags.writeable
+        assert abs(np.linalg.norm(u) - 1) <= 1e-15
+
+    def test_random_set_skips_the_gram_screen(self, monkeypatch):
+        assert screened_points(monkeypatch, 8, random_points(20000, 8, seed=5)) <= 4
+
+    def test_every_point_orthogonal_to_the_probe_is_screened(self, monkeypatch):
+        m = MULTI_BLOCK_M
+        pts = probe_orthogonal_points(m, 3)
+        assert np.abs(pts @ designs._probe(3)).max() <= 1e-13
+        assert screened_points(monkeypatch, 3, pts) == m
+
+    @pytest.mark.parametrize("dist, distinct", [(0.99e-9, False), (1.01e-9, True)])
+    def test_close_pair_along_the_probe(self, dist, distinct):
+        # x orthogonal to u and y = cos(d) x + sin(d) u: |x-y| and the gap of
+        # their projections are both about d, so the screen's bound is tight here
+        pts, u = random_points(100, 3, seed=2), designs._probe(3)
+        x = probe_orthogonal_points(1, 3)[0]
+        pts[17], pts[60] = x, math.cos(dist) * x + math.sin(dist) * u
+        assert np.linalg.norm(pts[17] - pts[60]) == pytest.approx(dist, rel=1e-6)
+        if distinct:
+            assert len(PointSet(3, pts)) == 100
+        else:
+            with pytest.raises(InvalidPointSetError, match="distinct.*points 17 and 60 "):
+                PointSet(3, pts)
+
+    def test_worst_case_duplicate_reports_its_pair(self):
+        m = MULTI_BLOCK_M
+        pts = probe_orthogonal_points(m, 3)
+        assert len(PointSet(3, pts)) == m
+        pts[m - 1] = pts[0]
+        with pytest.raises(InvalidPointSetError, match=f"distinct.*points 0 and {m - 1} "):
+            PointSet(3, pts)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_several_duplicates_report_a_true_pair(self, orthogonal):
+        m, pairs = MULTI_BLOCK_M, {(3, 200), (10, 50), (100, 101), (7, 255)}
+        pts = probe_orthogonal_points(m, 4) if orthogonal else random_points(m, 4)
+        for i, j in pairs:
+            pts[j] = pts[i]
+        with pytest.raises(InvalidPointSetError, match="distinct") as exc:
+            PointSet(4, pts)
+        i, j = map(int, re.search(r"points (\d+) and (\d+) ", str(exc.value)).groups())
+        assert (i, j) in pairs
+
+    def test_twenty_thousand_points_memory(self):
+        # the coordinates alone are 1.28 MB
+        pts = random_points(20000, 8, seed=5)
+        tracemalloc.start()
+        try:
+            PointSet(8, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestGenerators:
@@ -545,13 +627,15 @@ class TestChebyshevMoments:
 
 
 def loop_certificate(X: PointSet, degrees, tol: float = designs.DEFAULT_VERIFY_TOL) -> designs.KernelCertificate:
-    """_certificate as it was with its own Chebyshev loop: per Gram block,
-    T_j = 2x T_{j-1} - T_{j-2} in place on three buffers, T_1 the block itself."""
+    """_certificate as it was with its own Chebyshev loop for the moments j >= 3:
+    per Gram block, T_j = 2x T_{j-1} - T_{j-2} in place on three buffers, T_1 the
+    block itself; mu_0..mu_2 from the closed forms of designs._low_moments."""
     degrees = tuple(degrees)
     n, top = X.dim, degrees[-1]
     weights = {k: _chebyshev_weights(n, k) for k in degrees}
-    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()}
-    mu = np.zeros(top + 1)
+    need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()} - {0, 1, 2}
+    mu = np.zeros(max(top, 2) + 1)
+    mu[:3] = designs._low_moments(X.points)
     for _, x in designs._gram_blocks(X.points):
         s, two_x, prev, cur, spare = len(x), 2 * x, np.ones_like(x), x, np.empty_like(x)
         for j in range(1, top + 1):
@@ -561,7 +645,6 @@ def loop_certificate(X: PointSet, degrees, tol: float = designs.DEFAULT_VERIFY_T
                 prev, cur, spare = cur, spare, prev
             if j in need:
                 mu[j] += 2 * float(cur.sum()) - float(cur[:, :s].sum())
-    mu[0] = len(X) ** 2
     sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
     raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
     residuals = tuple(abs(v) / len(X) for v in sums)
@@ -601,6 +684,74 @@ class TestCertificateAgainstLoop:
             cert = verify_harmonic_index(X, k)
             want = loop_certificate(X, [k])
             assert (cert.raw_sums, cert.residuals) == (want.raw_sums, want.residuals), k
+
+    @pytest.mark.parametrize("name", list(LOOP_SETS))
+    def test_modes_agree_bit_for_bit(self, name):
+        build, t = LOOP_SETS[name]
+        X = build()
+        spherical = verify_spherical_design(X, t).raw_sums
+        for k in sorted({1, 2, 3, t // 2, t - 1, t} - {0}):
+            assert verify_harmonic_index(X, k).raw_sums == (spherical[k - 1],), k
+
+
+def exact_low_moments(pts: np.ndarray) -> tuple[Fraction, Fraction]:
+    """mu_1 = sum <x,y> and mu_2 = sum T_2(<x,y>) as exact rational sums over
+    the float coordinates, through |sum x|^2 and 2 |X^T X|_F^2 - m^2."""
+    m, n = pts.shape
+    rows = [[Fraction(v) for v in row] for row in pts.tolist()]
+    s = [sum(r[i] for r in rows) for i in range(n)]
+    f = [sum(r[i] * r[j] for r in rows) for i in range(n) for j in range(n)]
+    return sum(v * v for v in s), 2 * sum(v * v for v in f) - m * m
+
+
+LOW_MOMENT_SETS = {
+    **{f"random m={m} n={n}": (lambda m=m, n=n: PointSet(n, random_points(m, n, seed=m + n)))
+       for m, n in [(200, 3), (500, 5), (120, 8)]},
+    **{name: (lambda name=name: generate(name)) for name in ("icosahedron_half", "e8_half", "cell600_half")},
+    **{f"{name}+antipodes": (lambda name=name: generate(name).union_with_antipodes())
+       for name in ("icosahedron_half", "e8_half", "cell600_half")},
+}
+
+
+class TestLowMoments:
+    """mu_0..mu_2 in closed form: no Gram work at degrees 1 and 2."""
+
+    @pytest.mark.parametrize("name", list(LOW_MOMENT_SETS))
+    def test_against_exact_sums(self, name):
+        # the worst error seen over these sets is 9.6e-14 |X| (random m=200 n=3)
+        X = LOW_MOMENT_SETS[name]()
+        m = len(X)
+        mu0, mu1, mu2 = designs._low_moments(X.points)
+        assert mu0 == m * m
+        for got, want in zip((mu1, mu2), exact_low_moments(X.points)):
+            assert abs(Fraction(got) - want) <= 2.5e-13 * m
+
+    @pytest.mark.parametrize("verify, t, degrees", [(verify_spherical_design, 2, [1, 2]),
+                                                    (verify_harmonic_index, 1, [1]),
+                                                    (verify_harmonic_index, 2, [2])])
+    def test_degrees_up_to_two_form_no_gram_block(self, monkeypatch, verify, t, degrees):
+        X = PointSet(5, random_points(2000, 5, seed=3))
+        want = loop_certificate(X, degrees)
+
+        def no_walk(pts):
+            raise AssertionError("a Gram block was formed")
+        monkeypatch.setattr(designs, "_gram_blocks", no_walk)
+        assert verify(X, t) == want
+
+    def test_frame_potential_from_the_smaller_gram(self):
+        # m < n: |X X^T|_F^2 on the 3 x 3 Gram; the n x n one would be 72 MB
+        X = PointSet(3000, np.eye(3000)[:3])
+        tracemalloc.start()
+        try:
+            assert designs._low_moments(X.points) == (9.0, 3.0, -3.0)
+            cert = verify_harmonic_index(X, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        # sum Q_2 = dim * (c_0 mu_2 + c_1 mu_0) = m Q(1) + m(m-1) Q(0), Q(0) = -dim/(n-1)
+        dim = dim_harmonic(3000, 2)
+        assert cert.raw_sums[0] == pytest.approx(3 * dim - 6 * dim / 2999, rel=1e-12)
 
 
 class TestLift:

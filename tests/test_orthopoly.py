@@ -288,6 +288,17 @@ class TestQRoots:
                 RuntimeError, match=r"roots of Q_\{402,1000\} .*overflowed float64"):
             q_roots(KernelSpec(402, 1000))
 
+    @pytest.mark.parametrize("n", [2**60, 2**70])
+    def test_unallocatable_grid_is_an_error_naming_the_kernel(self, n):
+        # a 2^60-point grid fails numpy's allocation, a 2^70-point one its size
+        # check; both must say which kernel and grid size
+        with pytest.raises(ValueError, match=rf"^cannot allocate the \d+-point root grid of Q_\{{{n},7\}}$") as exc:
+            q_roots(KernelSpec(n, 7))
+        # about 2(t + (n-2)/2 + 1) points, counted in float64
+        assert int(re.search(r"the (\d+)-point", str(exc.value))[1]) == pytest.approx(n + 2 * 7 + 1, rel=1e-15)
+        with pytest.raises(ValueError, match=rf"^cannot allocate the \d+-point root grid of Q_\{{{n + 2},6\}}$"):
+            q_min(KernelSpec(n, 7))
+
 
 def mp_kernel(n: int, t: int, x):
     """P_t(x) at mpmath precision, with the recurrence written out again here:

@@ -28,13 +28,16 @@ G4 = "C? C@ CB C` CJ CF Ck CN Cl C| C~".split()  # the 11 graphs on 4 vertices
 G10 = ["IheA@GUAo", "IUX|}vh|G", "ICd\\gRE_w", "Igu~ysX}O", "IC|jXApK?", "IkSUDtCbo", "I????????"]
 
 
-def _sphere_points(m: int, n: int, seed: int) -> bytes:
-    """m seeded random unit vectors in R^n as a point-set file."""
+def _sphere_points(m: int, n: int, seed: int, copies: tuple = ()) -> bytes:
+    """m seeded random unit vectors in R^n as a point-set file; each (i, j)
+    of copies makes point j a copy of point i."""
     rng, rows = random.Random(seed), []
     for _ in range(m):
         v = [rng.gauss(0.0, 1.0) for _ in range(n)]
         norm = math.sqrt(math.fsum(x * x for x in v))
         rows.append([format(x / norm, ".17g") for x in v])
+    for i, j in copies:
+        rows[j] = rows[i]
     return json.dumps({"dim": n, "points": rows, "labels": None, "source": f"random {m} on S^{n - 1}"}).encode()
 
 
@@ -48,10 +51,12 @@ INPUTS = {
     "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
     "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
     "s2_500.json": _sphere_points(500, 3, 500),
+    "dup_0_499.json": _sphere_points(500, 3, 500, copies=((0, 499),)),
     "huge.json": json.dumps({"dim": 2, "points": [["1e308", "0"], ["0", "1"]]}).encode(),
 }
 MADE = [("pent.json", "regular-polygon --m 5"), ("x0.json", "x0-plus"), ("ico.json", "icosahedron-half"),
-        ("poly300.json", "regular-polygon --m 300"), ("c600.json", "cell600-half")]
+        ("poly300.json", "regular-polygon --m 300"), ("c600.json", "cell600-half"),
+        ("cross5.json", "cross-polytope-half --n 5")]
 # (file, file of MADE, PointSet method call): flipped and antipodal sets, written by the old tree
 DERIVED = [("ico_flipped.json", "ico.json", "with_flipped([0, 3])"),
            ("c600_full.json", "c600.json", "union_with_antipodes()")]
@@ -91,6 +96,11 @@ CASES = [  # (argv, extra environment)
     ("verify --in ico_flipped.json --t 8", {}),
     ("verify --in ico_flipped.json --t 8 --spherical --format json", {}),
     ("verify --in c600_full.json --t 11 --spherical", {}),
+    # degrees 1 and 2 from the closed forms, with no Gram walk: a failing set
+    # and a passing harmonic-index 2 set
+    ("verify --in s2_500.json --t 2 --spherical", {}),
+    ("construct cross-polytope-half --n 5", {}),
+    ("verify --in cross5.json --t 2", {}),
     ("asymptote --n 7", {}),
     ("asymptote --n 4 --format json", {}),
     ("asymptote --n 9 --out a.txt", {}),
@@ -122,6 +132,8 @@ CASES = [  # (argv, extra environment)
     ("construct lift --base pent.json --n 3 --t 4 --radius 0.5", {}),
     ("verify --in bad.json --t 2", {}),
     ("verify --in nan.json --t 2", {}),
+    # the only duplicate pair is the first and last point, in different Gram blocks
+    ("verify --in dup_0_499.json --t 2", {}),
     ("asymptote --n 2", {}),
     ("embed --graphs bad.g6 --b2 2 --n 3", {}),
     ("embed --graphs bad_ff.g6 --b2 2 --n 3 --out records.ndjson", {}),
