@@ -193,6 +193,8 @@ def asymptotic_bound(n: int) -> AsymptoteReport:
         raise ValueError(f"asymptote requires an integer n, got {n!r}") from None
     if n < 3:
         raise ValueError(f"asymptote requires n >= 3, got {n}")
+    if n >= 2 ** 1023:  # (n-3)/2 would overflow float64
+        raise ValueError(f"asymptote requires n below 2^1023, got n={n}")
     alpha = (n - 3) / 2
     j1 = bessel_first_zero((n - 1) / 2)
     with np.errstate(all="ignore"):

@@ -59,6 +59,8 @@ class KernelSpec:
 
     def __post_init__(self):
         dim_harmonic(self.n, self.t)  # raises on n < 2 or t < 0
+        if max(self.n, self.t) >= 2 ** 1023:  # below it float(n), pi/t and t + n/2 are finite
+            raise ValueError(f"float64 kernels take n and t below 2^1023, got n={self.n}, t={self.t}")
 
     @property
     def dim(self) -> int:
@@ -76,18 +78,17 @@ class MinimumReport:
 
 def _recurrence(n: int, t: int, x) -> Iterator:
     """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
-    Chebyshev T_k for n = 2 (the Gegenbauer step degenerates at lambda = 0;
-    designs takes its moments from here), else the Gegenbauer C_k^lambda with
-    lambda = (n-2)/2.  x is an ndarray or a float, taken through the same IEEE
-    operations: (2x)*T_{k-1} - T_{k-2}, 2x formed once (x*2 is exact, so the
-    bits of (x*2)*T_{k-1}), else 2*(k+lam-1)*x*P_{k-1} - (k+2*lam-2)*P_{k-2},
-    then / k.  On an array the augmented assignments update three rotating
-    buffers of x's shape in place: a yielded array is overwritten two steps
-    later, so a caller may keep the last two.  x itself is never written.  On
-    a float they rebind, about ten times faster per step than a one-element array."""
-    lam, arr = (n - 2) / 2, isinstance(x, np.ndarray)
-    prev, spare = (np.ones_like(x), np.empty_like(x)) if arr else (1.0, 0.0)
-    cur, two_x = (+x, 2 * x) if n == 2 else (2 * lam * x, None)  # +x copies an array
+    Chebyshev T_k = (2x) T_{k-1} - T_{k-2} for n = 2, 2x formed once (designs takes
+    its moments from here), else the Gegenbauer C_k^((n-2)/2), k P_k = (2k+n-4) x
+    P_{k-1} - (k+n-4) P_{k-2} from P_1 = (n-2) x.  The coefficients are ints, so x
+    may be any scalar (float, Fraction, QuadExt, Decimal; P_0 is 1.0 for a float,
+    else x*0 + 1) or an ndarray, whose three rotating buffers of x's shape are
+    updated in place: a yielded array is overwritten two steps later, so a caller
+    may keep the last two, and x itself is never written."""
+    arr = isinstance(x, np.ndarray)
+    prev = np.ones_like(x) if arr else 1.0 if isinstance(x, float) else x * 0 + 1
+    spare = np.empty_like(x) if arr else None  # a scalar's is bound in the first step
+    cur, two_x = (x * 1, 2 * x) if n == 2 else ((n - 2) * x, None)  # x * 1 copies an array
     yield prev
     if t:
         yield cur
@@ -96,10 +97,10 @@ def _recurrence(n: int, t: int, x) -> Iterator:
             spare = np.multiply(two_x, cur, out=spare) if arr else two_x * cur
             spare -= prev
         else:
-            m = 2 * (k + lam - 1)
+            m = 2 * k + n - 4
             spare = np.multiply(x, m, out=spare) if arr else x * m
             spare *= cur
-            prev *= k + 2 * lam - 2
+            prev *= k + n - 4
             spare -= prev
             spare /= k
         prev, cur, spare = cur, spare, prev
@@ -107,18 +108,20 @@ def _recurrence(n: int, t: int, x) -> Iterator:
 
 
 def _scale(n: int, k: int) -> float:
-    """Q_{n,k}(1) / P_k(1): 2 on the circle, else dim / C(k+n-3, k), exactly."""
-    if n == 2:
-        return 2.0 if k else 1.0
-    return dim_harmonic(n, k) / comb(k + n - 3, k)
+    """Q_{n,k}(1) / P_k(1): 2 on the circle (1 at k = 0), else dim / C(k+n-3, k) = (2k+n-2)/(n-2), rounded once."""
+    return (2.0 if k else 1.0) if n == 2 else (2 * k + n - 2) / (n - 2)
 
 
 def _chebyshev_weights(n: int, k: int) -> np.ndarray:
     """c >= 0 summing to 1 with Q_{n,k} = dim_harmonic(n, k) * sum_i c[i] T_{k-2i}, e_0 for n = 2:
     Szego 4.9.19, C_k^lam(cos th) = sum_j a_j a_{k-j} cos((k-2j) th), a_j = (lam)_j / j!, terms
-    j and k-j merged, as a running product of ratios below C_k^lam(1) / a_k, finite while dim is."""
-    lam, j = (n - 2) / 2, np.arange(k // 2)
-    c = np.cumprod(np.concatenate([[1.0], (lam + j) * (k - j) / ((j + 1) * (lam + k - 1 - j))]))
+    j and k-j merged, as a running product of ratios (n-2+2j)(k-j) / ((j+1)(n+2k-4-2j)) below
+    C_k^lam(1) / a_k, finite while dim is: lam's ratios with both sides doubled, which is exact."""
+    try:
+        j = np.arange(k // 2, dtype=float)
+    except (MemoryError, ValueError):  # numpy's texts name neither n nor k
+        raise ValueError(f"cannot allocate the {k // 2 + 1} Chebyshev weights of Q_{{{n},{k}}}") from None
+    c = np.cumprod(np.concatenate([[1.0], (n - 2 + 2 * j) * (k - j) / ((j + 1) * (n + 2 * k - 4 - 2 * j))]))
     c[:(k + 1) // 2] *= 2
     return c / c.sum()
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bounds import tight_inner_product
 from .exactnum import QuadExt, fraction_free_rank
+from .orthopoly import _recurrence
 
 __all__ = [
     "GraphFormatError",
@@ -381,8 +382,8 @@ def tightness_dossier(n: int) -> TightnessDossier:
             # f = 1 + y*P_3 with f <= 0 on V bounds their number by f(1) = 1 + y
             red = musin_reduce(alpha)
             V = [red.plus] if red.only_plus else [red.plus, red.minus]
-            m = n - 1  # P_3 is the degree-3 Gegenbauer polynomial on R^m, P_3(1) = 1
-            p3 = [((m + 2) * v * v * v - 3 * v) / (m - 1) for v in V]
+            m = n - 1  # P_3 is the degree-3 Gegenbauer polynomial on R^m over its value at 1
+            p3 = [[*_recurrence(m, 3, v)][-1] / [*_recurrence(m, 3, Fraction(1))][-1] for v in V]
             reduced = (f"{int(b_exact) - 1} points on S^{n - 2} with inner products "
                        f"{', '.join(map(str, V))}")
             # P_3(x) < 0 iff (m+2)x^2 < 3 for x > 0, > 3 for x < 0.  With

@@ -75,6 +75,31 @@ class TestTable:
         assert err == f"error: cannot allocate the {2**60 + 1}-point root grid of Q_{{{2**60 + 2},6}}\n"
 
 
+class TestBeyondFloat64:
+    """n or t too large for float64 ends in one error line naming them, exit 2;
+    no case here allocates: each fails in a size check before numpy allocates."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["table", "--n", str(10**400), "--t", "4"], f"n={10**400}, t=4"),
+        (["table", "--n", "3", "--t", str(10**400)], f"n=3, t={10**400}"),
+        (["table", "--n", "2", "--t", str(10**400)], f"n=2, t={10**400}"),
+        (["table", "--n", str(10**400), "--t", "1"], f"n={10**400}, t=1"),
+        (["asymptote", "--n", str(10**400)], f"n={10**400}"),
+    ])
+    def test_table_and_asymptote(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.rstrip().endswith(named)
+
+    @pytest.mark.parametrize("t", [2**62, 10**400])
+    def test_verify_on_the_circle(self, tmp_path, capsys, t):
+        pent = tmp_path / "pent.json"
+        generate("regular-polygon", m=5).save(pent)
+        code, out, err = run(capsys, "verify", "--in", str(pent), "--t", str(t))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot allocate the {t // 2 + 1} Chebyshev weights of Q_{{2,{t}}}\n"
+
+
 class TestConstructAndVerify:
     def test_icosahedron_roundtrip(self, tmp_path, capsys):
         out_file = tmp_path / "icosa.json"

@@ -4,6 +4,8 @@ import math
 import random
 import re
 from collections import deque
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,8 +20,11 @@ from hidesign.orthopoly import (
     q_eval,
     q_min,
     q_roots,
+    _chebyshev_weights,
     _recurrence,
+    _scale,
 )
+from hidesign.exactnum import QuadExt
 
 
 def laplacian_kernel_dim(n_vars: int, degree: int) -> int:
@@ -188,6 +193,76 @@ class TestRecurrenceBuffers:
         assert ones.tolist() == [1.0, 1.0] and first.tolist() == (x if n == 2 else 2 * (n - 2) / 2 * x).tolist()
         assert first is not x
         assert list(_recurrence(n, 1, 0.5)) == [1.0, 0.5 if n == 2 else (n - 2) * 0.5]
+
+
+def sympy_value(q) -> "sympy.Expr":
+    """A Fraction or QuadExt as an exact sympy number."""
+    import sympy as sp
+    if isinstance(q, Fraction):
+        return sp.Rational(q.numerator, q.denominator)
+    return sympy_value(q.a) + sympy_value(q.b) * sp.sqrt(q.d)
+
+
+class TestGenericRecurrence:
+    """_recurrence has integer coefficients, so it runs unchanged on exact
+    scalars: P_k equals sympy's Chebyshev T_k (n = 2) or Gegenbauer
+    C_k^((n-2)/2) exactly, in the number type of x."""
+
+    CASES = [(2, 0), (2, 1), (2, 3), (2, 9), (3, 0), (3, 1), (3, 7), (4, 3), (5, 10), (24, 6), (122, 6)]
+
+    @staticmethod
+    def oracle(n: int, k: int, x):
+        import sympy as sp
+        v = sp.Symbol("v")
+        poly = sp.chebyshevt(k, v) if n == 2 else sp.gegenbauer(k, sp.Rational(n - 2, 2), v)
+        return sp.expand(poly.subs(v, x))
+
+    @pytest.mark.parametrize("n,t", CASES)
+    @pytest.mark.parametrize("kind", ["Fraction", "QuadExt"])
+    def test_exact_against_sympy(self, n, t, kind):
+        import sympy as sp
+        x = Fraction(1, 3) if kind == "Fraction" else QuadExt.sqrt(Fraction(3, n + 4))  # the tight alpha
+        values = list(_recurrence(n, t, x))
+        assert len(values) == t + 1
+        for k, p in enumerate(values):
+            assert type(p) is type(x), (k, p)
+            assert sp.expand(sympy_value(p) - self.oracle(n, k, sympy_value(x))) == 0, (k, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_value_at_one(self, n):
+        # T_t(1) = 1, C_t^lam(1) = (2 lam)_t / t! = C(t+n-3, t)
+        for t, p in enumerate(_recurrence(n, 12, Fraction(1))):
+            assert p == (1 if n == 2 else math.comb(t + n - 3, t))
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_decimal_matches_float(self, n):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            got = list(_recurrence(n, 20, Decimal("0.3")))
+        assert all(isinstance(p, Decimal) for p in got)
+        want = list(_recurrence(n, 20, 0.3))
+        for a, b in zip(got, want):
+            assert float(a) == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    def test_scale_closed_form_is_bit_equal_to_the_binomial_ratio(self):
+        for n in [*range(3, 80), 10 ** 6 + 1, 2 ** 40 + 3, 2 ** 52 + 5]:
+            for k in [*range(60), 500, 2000]:
+                assert _scale(n, k) == dim_harmonic(n, k) / math.comb(k + n - 3, k), (n, k)
+
+    def test_chebyshev_weights_bit_equal_to_the_lambda_form(self):
+        for n in range(2, 90, 3):
+            for k in range(0, 150, 7):
+                lam, j = (n - 2) / 2, np.arange(k // 2)
+                c = np.cumprod(np.concatenate([[1.0], (lam + j) * (k - j) / ((j + 1) * (lam + k - 1 - j))]))
+                c[:(k + 1) // 2] *= 2
+                assert _chebyshev_weights(n, k).tobytes() == (c / c.sum()).tobytes(), (n, k)
+
+    def test_float_kernels_refuse_n_and_t_from_2_to_the_1023(self):
+        KernelSpec(2 ** 1023 - 1, 4)
+        KernelSpec(3, 2 ** 1023 - 1)
+        for n, t in [(2 ** 1023, 4), (3, 2 ** 1023), (10 ** 400, 1)]:
+            with pytest.raises(ValueError, match=re.escape(f"below 2^1023, got n={n}, t={t}")):
+                KernelSpec(n, t)
 
 
 def circle_recurrence_before_hoisting(t: int, x) -> list:

@@ -175,6 +175,17 @@ CASES = [  # (argv, extra environment)
     ("table --n 1152921504606846976 --t 7", {}),
     # n = 2^70 was already one error line
     ("table --n 1180591620717411303424 --t 7", {}),
+    # the irrational alpha at the largest n below 2^32 with n + 4 prime
+    ("tight --n 4294967287", {}),
+    # n or t beyond float64 ended in an OverflowError traceback, exit 1
+    (f"table --n {10**400} --t 4", {}),
+    (f"table --n 3 --t {10**400}", {}),
+    (f"table --n 2 --t {10**400}", {}),
+    (f"table --n {10**400} --t 1", {}),
+    (f"asymptote --n {10**400}", {}),
+    # the circle's Chebyshev weights: numpy's allocation texts named neither n nor t
+    (f"verify --in pent.json --t {2**62}", {}),
+    (f"verify --in pent.json --t {10**400}", {}),
 ]
 
 
