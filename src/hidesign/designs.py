@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, pairwise, permutations, product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -56,22 +56,26 @@ class InvalidPointSetError(ValueError):
 
 
 def _gram_blocks(pts: np.ndarray):
-    """Walk the upper triangle of the Gram matrix: yield (i, block) where block
-    holds rows i..i+s against columns i..m, s = max(1, _GRAM_BLOCK // (m - i)).
-
-    Each unordered pair appears once, except in the leading s x s square of a
-    block, which holds both orders of its pairs and the diagonal entries."""
+    """Walk the upper triangle of the Gram matrix: yield (i, block) where block holds
+    rows i..i+s against columns i..m, s = max(1, _GRAM_BLOCK // (m - i)), in one array
+    allocated for the walk: the next block overwrites it.  Each unordered pair appears
+    once, except in a block's leading s x s square, with both orders and the diagonal."""
     m, i = len(pts), 0
+    buf = np.empty(min(m * m, max(m, _GRAM_BLOCK)))  # the largest block
     while i < m:
-        s = max(1, _GRAM_BLOCK // (m - i))
-        yield i, pts[i:i + s] @ pts[i:].T
-        i += s
+        rows = pts[i:i + max(1, _GRAM_BLOCK // (m - i))]
+        yield i, np.matmul(rows, pts[i:].T, out=buf[:len(rows) * (m - i)].reshape(len(rows), m - i))
+        i += len(rows)
 
 
 @functools.lru_cache(maxsize=32)
 def _probe(dim: int) -> np.ndarray:
-    """The fixed generic unit vector, read-only, that PointSet projects its points onto."""
-    u = np.random.default_rng(0).standard_normal(dim)
+    """The fixed generic unit vector, read-only, that PointSet projects its points onto: the
+    square roots of the first dim primes, normalised, so no rational combination of them vanishes."""
+    sieve = np.ones(16 + 2 * dim * dim.bit_length(), dtype=bool)  # the dim-th prime is < dim ln(dim ln dim)
+    for p in range(2, math.isqrt(len(sieve)) + 1):
+        sieve[p * p::p] &= ~sieve[p]  # clears the multiples of a prime p
+    u = np.sqrt(np.flatnonzero(sieve)[2:dim + 2])
     u /= np.linalg.norm(u)
     u.setflags(write=False)
     return u
@@ -240,30 +244,37 @@ def _low_moments(pts: np.ndarray) -> tuple[float, float, float]:
     return float(len(pts) ** 2), float(s @ s), 2 * float(np.vdot(f, f)) - len(pts) ** 2
 
 
+def _moments(pts: np.ndarray, need: set, size: int) -> np.ndarray:
+    """mu_0..mu_{size-1}, mu_j = sum over pairs of T_j(<x,y>): j <= 2 from _low_moments, j in need by
+    T_2k = 2 T_k^2 - 1 and T_2k-1 = 2 T_k T_k-1 - x, else 0.  Each Gram block runs _recurrence(2, ceil(
+    max(need) / 2)) on buffers allocated once per walk and adds per j twice a vdot less its leading square's
+    (diagonal, both orders), and -1 per pair for even j; odd j end by -mu_1.  O(max(need) m^2 / 2) time."""
+    mu = np.concatenate([_low_moments(pts), np.zeros(size - 3)])
+    work = np.empty(4 * min(len(pts) ** 2, max(len(pts), _GRAM_BLOCK))) if need else None  # 4 largest blocks
+    for _, x in _gram_blocks(pts) if need else ():
+        s, pairs = len(x), 2 * x.size - len(x) ** 2
+        for k, (prev, tk) in enumerate(pairwise(_recurrence(2, (max(need) + 1) // 2, x, work)), 1):
+            for j, other in ((2 * k - 1, prev), (2 * k, tk)):
+                if j in need:
+                    mu[j] += 4 * np.vdot(tk, other) - 2 * np.vdot(tk[:, :s], other[:, :s]) - (1 - j % 2) * pairs
+    mu[[j for j in need if j % 2]] -= mu[1]
+    return mu
+
+
 def _certificate(X: PointSet, degrees, tol: float) -> KernelCertificate:
-    """Kernel sums at ascending degrees, dim * sum_i c_i mu_{k-2i} at degree k:
-    c from _chebyshev_weights, moments mu_j = sum over pairs of T_j(<x,y>), from
-    _low_moments for j <= 2 (O(m n^2) time), else where some c is nonzero from an
-    O(t m^2) walk: each upper-triangle Gram block runs _recurrence(2, j) in place
-    and adds twice its sum less its leading square's (diagonal, both orders)."""
-    degrees = tuple(degrees)
+    """Kernel sums at ascending degrees (a list or a range, its top degree checked first), dim *
+    sum_i c_i mu_{k-2i} at degree k: c from _chebyshev_weights, mu from _moments where c != 0."""
     if not degrees or degrees[0] < 1:
         raise ValueError("degree must be >= 1")
     n, top = X.dim, degrees[-1]
     if len(X) ** 2 * dim_harmonic(n, top) > sys.float_info.max:  # |sum| <= m^2 Q(1)
         raise ValueError(f"kernel sums of {len(X)} points at n={n}, t={top} exceed float64")
-    weights = {k: _chebyshev_weights(n, k) for k in degrees}
+    weights = {k: _chebyshev_weights(n, k) for k in reversed(degrees)}  # top first: it may not allocate
     need = {k - 2 * i for k, c in weights.items() for i in np.flatnonzero(c).tolist()} - {0, 1, 2}
-    mu = np.zeros(max(top, 2) + 1)
-    mu[:3] = _low_moments(X.points)
-    for _, x in _gram_blocks(X.points) if need else ():
-        for j, tj in enumerate(_recurrence(2, max(need), x)):  # each T_j used before the next is asked for
-            if j in need:
-                mu[j] += 2 * float(tj.sum()) - float(tj[:, :len(x)].sum())
-    sums = [float(c @ mu[k::-2]) for k, c in weights.items()]
-    raws = tuple(dim_harmonic(n, k) * v for k, v in zip(degrees, sums))
-    residuals = tuple(abs(v) / len(X) for v in sums)
-    return KernelCertificate(n, degrees, raws, residuals, tol)
+    mu = _moments(X.points, need, max(top, 2) + 1)
+    sums = {k: float(c @ mu[k::-2]) for k, c in reversed(weights.items())}
+    return KernelCertificate(n, tuple(sums), tuple(dim_harmonic(n, k) * v for k, v in sums.items()),
+                             tuple(abs(v) / len(X) for v in sums.values()), tol)
 
 
 def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
@@ -272,9 +283,8 @@ def verify_harmonic_index(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) 
 
 
 def verify_spherical_design(X: PointSet, t: int, tol: float = DEFAULT_VERIFY_TOL) -> KernelCertificate:
-    """Check the kernel criterion at every degree 1..t (full design test): O(m n^2)
-    time at t <= 2, and above one _recurrence(2, t) pass per upper-triangle Gram
-    block, O(t * m^2) time with memory a few blocks of _GRAM_BLOCK = 16384 entries."""
+    """Check the kernel criterion at every degree 1..t (full design test): O(m n^2) time
+    at t <= 2, else O(t m^2 / 2) time on a few arrays of _GRAM_BLOCK = 16384 entries."""
     return _certificate(X, range(1, t + 1), tol)
 
 

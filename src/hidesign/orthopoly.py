@@ -76,19 +76,23 @@ class MinimumReport:
     method: str
 
 
-def _recurrence(n: int, t: int, x) -> Iterator:
+def _recurrence(n: int, t: int, x, _buf=None) -> Iterator:
     """Yield P_0(x), ..., P_t(x) in one pass, Q_{n,k} = _scale(n, k) * P_k: the
     Chebyshev T_k = (2x) T_{k-1} - T_{k-2} for n = 2, 2x formed once (designs takes
     its moments from here), else the Gegenbauer C_k^((n-2)/2), k P_k = (2k+n-4) x
     P_{k-1} - (k+n-4) P_{k-2} from P_1 = (n-2) x.  The coefficients are ints, so x
     may be any scalar (float, Fraction, QuadExt, Decimal; P_0 is 1.0 for a float,
-    else x*0 + 1) or an ndarray, whose three rotating buffers of x's shape are
-    updated in place: a yielded array is overwritten two steps later, so a caller
-    may keep the last two, and x itself is never written."""
-    arr = isinstance(x, np.ndarray)
-    prev = np.ones_like(x) if arr else 1.0 if isinstance(x, float) else x * 0 + 1
-    spare = np.empty_like(x) if arr else None  # a scalar's is bound in the first step
-    cur, two_x = (x * 1, 2 * x) if n == 2 else ((n - 2) * x, None)  # x * 1 copies an array
+    else x*0 + 1) or a float ndarray of one or more dimensions, whose three rotating
+    buffers and 2x are views of _buf (>= 4 x.size float64 entries, reused across
+    calls) or of one new array, updated in place: a yielded array is overwritten two
+    steps later, so a caller may keep the last two, and x itself is never written."""
+    if arr := isinstance(x, np.ndarray):  # P_1 = (n - 2 or 1) x, a copy of x on the circle
+        prev, cur, spare, two_x = np.empty((4, *x.shape)) if _buf is None else _buf[:4 * x.size].reshape(4, *x.shape)
+        prev.fill(1)
+        cur, two_x = np.multiply(x, n - 2 or 1, out=cur), np.multiply(x, 2, out=two_x) if n == 2 else None
+    else:  # a scalar's spare is bound in the first step
+        prev, spare = 1.0 if isinstance(x, float) else x * 0 + 1, None
+        cur, two_x = (n - 2 or 1) * x, 2 * x if n == 2 else None
     yield prev
     if t:
         yield cur

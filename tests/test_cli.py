@@ -99,6 +99,16 @@ class TestBeyondFloat64:
         assert (code, out) == (2, "")
         assert err == f"error: cannot allocate the {t // 2 + 1} Chebyshev weights of Q_{{2,{t}}}\n"
 
+    @pytest.mark.parametrize("t", [2**62, 10**400])
+    def test_verify_spherical_on_the_circle(self, tmp_path, capsys, t):
+        # the top degree is checked before degrees 1..t are listed: that list
+        # once raised an empty MemoryError, or OverflowError with a traceback
+        pent = tmp_path / "pent.json"
+        generate("regular-polygon", m=5).save(pent)
+        code, out, err = run(capsys, "verify", "--in", str(pent), "--t", str(t), "--spherical")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot allocate the {t // 2 + 1} Chebyshev weights of Q_{{2,{t}}}\n"
+
 
 class TestConstructAndVerify:
     def test_icosahedron_roundtrip(self, tmp_path, capsys):
@@ -348,6 +358,17 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_construct_and_verify_load_no_numpy_random(self, tmp_path):
+        # PointSet's probe vector once came from numpy.random, 12 ms of import
+        out = tmp_path / "e8.json"
+        code = ("import sys, hidesign.cli as c; "
+                f"c.main(['construct', 'e8-half', '--out', {str(out)!r}]); "
+                f"c.main(['verify', '--in', {str(out)!r}, '--t', '7', '--spherical']); "
+                "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_module_invocation(self):
         proc = subprocess.run(

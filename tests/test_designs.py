@@ -1,5 +1,6 @@
 """Point sets, generators, kernel certificates, lifting, explicit bases."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -222,8 +223,7 @@ class TestDistinctness:
 
 def probe_orthogonal_points(m: int, n: int, seed: int = 1) -> np.ndarray:
     """Random unit vectors in the hyperplane orthogonal to PointSet's probe:
-    every projection is within rounding of 0, so every point is screened.
-    (Seed 0 would not do: its first point is the probe itself.)"""
+    every projection is within rounding of 0, so every point is screened."""
     u = designs._probe(n)
     pts = random_points(m, n, seed)
     pts -= np.outer(pts @ u, u)
@@ -246,6 +246,14 @@ class TestProjectionScreen:
         u = designs._probe(8)
         assert u is designs._probe(8) and not u.flags.writeable
         assert abs(np.linalg.norm(u) - 1) <= 1e-15
+
+    def test_probe_is_the_normalised_square_roots_of_the_first_primes(self):
+        import sympy
+        for dim in (1, 2, 3, 8, 3000):
+            u = designs._probe(dim)
+            primes = list(sympy.primerange(2, sympy.prime(dim) + 1))
+            assert np.rint(2 * (u / u[0]) ** 2).tolist() == primes
+            assert np.allclose(u, np.sqrt(primes) / math.sqrt(sum(primes)), rtol=1e-14, atol=0)
 
     def test_random_set_skips_the_gram_screen(self, monkeypatch):
         assert screened_points(monkeypatch, 8, random_points(20000, 8, seed=5)) <= 4
@@ -629,7 +637,7 @@ class TestChebyshevMoments:
 def loop_certificate(X: PointSet, degrees, tol: float = designs.DEFAULT_VERIFY_TOL) -> designs.KernelCertificate:
     """_certificate as it was with its own Chebyshev loop for the moments j >= 3:
     per Gram block, T_j = 2x T_{j-1} - T_{j-2} in place on three buffers, T_1 the
-    block itself; mu_0..mu_2 from the closed forms of designs._low_moments."""
+    block itself, and each needed T_j summed; mu_0..mu_2 from designs._low_moments."""
     degrees = tuple(degrees)
     n, top = X.dim, degrees[-1]
     weights = {k: _chebyshev_weights(n, k) for k in degrees}
@@ -651,6 +659,35 @@ def loop_certificate(X: PointSet, degrees, tol: float = designs.DEFAULT_VERIFY_T
     return designs.KernelCertificate(n, degrees, raws, residuals, tol)
 
 
+def exact_moments(pts: np.ndarray, top: int) -> list[Fraction]:
+    """mu_0..mu_top, mu_j = sum over ordered pairs of T_j(<x,y>), as exact rational
+    sums over the float coordinates.  Each coordinate is an integer times 2^e, so
+    <x,y> = g / D for an integer g and D = 4^-e, and U_j = D^j T_j(g / D) are the
+    integers U_0 = 1, U_1 = g, U_j = 2g U_{j-1} - D^2 U_{j-2}, run on object arrays."""
+    e = min(math.frexp(v)[1] for v in pts.ravel().tolist() if v) - 53
+    ints = np.array([[int(Fraction(v) * 2 ** -e) for v in row] for row in pts.tolist()], dtype=object)
+    gram, totals = ints @ ints.T, [0] * (top + 1)
+    for g, weight in ((gram[np.triu_indices(len(pts), 1)], 2), (gram.diagonal().copy(), 1)):
+        prev, cur, two_g = np.ones(len(g), dtype=object), g, 2 * g
+        totals[0] += weight * len(g)
+        for j in range(1, top + 1):
+            totals[j] += weight * cur.sum()
+            prev, cur = cur, two_g * cur - (prev << (-4 * e))
+    return [Fraction(u, 1 << (-2 * e * j)) for j, u in enumerate(totals)]
+
+
+def exact_kernel_sum(n: int, k: int, mu: list[Fraction]) -> Fraction:
+    """dim * sum_i c_i mu_{k-2i} exactly, for the float weights c of _chebyshev_weights."""
+    weights = _chebyshev_weights(n, k).tolist()
+    return dim_harmonic(n, k) * sum(Fraction(c) * mu[k - 2 * i] for i, c in enumerate(weights))
+
+
+# the kernel-sum error allowed against the exact sums, as a multiple of |X| Q(1): the
+# bound on the relative residual's error, 1000 times below the default tolerance
+KERNEL_SUM_BOUND = 1e-12
+# exact moments up to this degree; the 300-gon's take a second there, growing as degree^2
+ORACLE_TOP = 16
+
 LOOP_SETS = {
     **{f"random m={m} n={n}": (lambda m=m, n=n: PointSet(n, random_points(m, n, seed=1000 * n + m)), t)
        for m, n, t in TestChebyshevMoments.CASES},
@@ -663,27 +700,43 @@ LOOP_SETS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def loop_set(name: str) -> tuple[PointSet, int, list[Fraction]]:
+    """A LOOP_SETS set, its last degree and its exact moments up to ORACLE_TOP."""
+    build, t = LOOP_SETS[name]
+    X = build()
+    return X, t, exact_moments(X.points, min(t, ORACLE_TOP))
+
+
 class TestCertificateAgainstLoop:
-    """The certificate takes its T_j from orthopoly._recurrence(2, t, block):
-    raw sums and residuals equal, bit for bit, those of its former own loop."""
+    """The certificate's product moments against the former loop, which summed each
+    T_j on the Gram walk: at degrees up to ORACLE_TOP both kernel sums lie within
+    KERNEL_SUM_BOUND |X| Q(1) of the exact sums, above it within twice that of each
+    other, and both give the same verdicts.  Across these sets the worst error seen is
+    4.2e-13 |X| Q(1) with the product moments (the 300-gon at degree 12, a sum of
+    squares near |X|^2 / 2 less |X|^2) and 8.9e-14 with the former loop."""
+
+    @staticmethod
+    def assert_within_bound(X, exact, cert, want):
+        assert cert.degrees == want.degrees and cert.passes == want.passes
+        for k, got, old in zip(cert.degrees, cert.raw_sums, want.raw_sums):
+            bound = KERNEL_SUM_BOUND * len(X) * dim_harmonic(X.dim, k)
+            if k < len(exact):
+                ref = exact_kernel_sum(X.dim, k, exact)
+                assert abs(Fraction(got) - ref) <= bound and abs(Fraction(old) - ref) <= bound, k
+            else:
+                assert abs(got - old) <= 2 * bound, k
 
     @pytest.mark.parametrize("name", list(LOOP_SETS))
     def test_spherical_mode(self, name):
-        build, t = LOOP_SETS[name]
-        X = build()
-        cert = verify_spherical_design(X, t)
-        want = loop_certificate(X, range(1, t + 1))
-        assert (cert.raw_sums, cert.residuals) == (want.raw_sums, want.residuals)
-        assert cert == want
+        X, t, exact = loop_set(name)
+        self.assert_within_bound(X, exact, verify_spherical_design(X, t), loop_certificate(X, range(1, t + 1)))
 
     @pytest.mark.parametrize("name", list(LOOP_SETS))
     def test_single_degree_mode(self, name):
-        build, t = LOOP_SETS[name]
-        X = build()
+        X, t, exact = loop_set(name)
         for k in sorted({1, 2, 3, t // 2, t - 1, t} - {0}):
-            cert = verify_harmonic_index(X, k)
-            want = loop_certificate(X, [k])
-            assert (cert.raw_sums, cert.residuals) == (want.raw_sums, want.residuals), k
+            self.assert_within_bound(X, exact, verify_harmonic_index(X, k), loop_certificate(X, [k]))
 
     @pytest.mark.parametrize("name", list(LOOP_SETS))
     def test_modes_agree_bit_for_bit(self, name):
@@ -694,14 +747,84 @@ class TestCertificateAgainstLoop:
             assert verify_harmonic_index(X, k).raw_sums == (spherical[k - 1],), k
 
 
-def exact_low_moments(pts: np.ndarray) -> tuple[Fraction, Fraction]:
-    """mu_1 = sum <x,y> and mu_2 = sum T_2(<x,y>) as exact rational sums over
-    the float coordinates, through |sum x|^2 and 2 |X^T X|_F^2 - m^2."""
-    m, n = pts.shape
-    rows = [[Fraction(v) for v in row] for row in pts.tolist()]
-    s = [sum(r[i] for r in rows) for i in range(n)]
-    f = [sum(r[i] * r[j] for r in rows) for i in range(n) for j in range(n)]
-    return sum(v * v for v in s), 2 * sum(v * v for v in f) - m * m
+PRODUCT_MOMENT_SETS = {
+    **{f"random m={MULTI_BLOCK_M + 3} n={n}": (
+        lambda n=n: PointSet(n, random_points(MULTI_BLOCK_M + 3, n, seed=n)), 16) for n in (3, 4, 8)},
+    **{name: (lambda name=name: generate(name), 60) for name in ("icosahedron_half", "e8_half", "cell600_half")},
+}
+
+
+class TestProductMoments:
+    """mu_j for j >= 3 from T_2k = 2 T_k^2 - 1 and T_2k-1 = 2 T_k T_k-1 - x: one
+    vdot per moment and Gram block, the recurrence run to ceil(j / 2)."""
+
+    @pytest.mark.parametrize("name", list(PRODUCT_MOMENT_SETS))
+    def test_against_exact_sums(self, name):
+        # the worst error seen is 3.0e-13 |X| (the icosahedron half at mu_60, the
+        # same with the former loop); up to mu_16, 6.6e-14 |X| (random n=4, mu_4)
+        build, top = PRODUCT_MOMENT_SETS[name]
+        X = build()
+        mu = designs._moments(X.points, set(range(3, top + 1)), top + 1)
+        exact = exact_moments(X.points, top)
+        for j in range(3, top + 1):
+            assert abs(Fraction(mu[j]) - exact[j]) <= KERNEL_SUM_BOUND * len(X), j
+
+    def test_only_the_needed_moments(self):
+        X = PointSet(4, random_points(MULTI_BLOCK_M + 3, 4, seed=4))
+        mu = designs._moments(X.points, {5, 8}, 10)
+        exact = exact_moments(X.points, 9)
+        assert [j for j in range(3, 10) if mu[j]] == [5, 8]
+        for j in (0, 1, 2, 5, 8):
+            assert abs(Fraction(mu[j]) - exact[j]) <= KERNEL_SUM_BOUND * len(X), j
+
+    @pytest.mark.parametrize("verify, t, top", [(verify_harmonic_index, 12, 6), (verify_harmonic_index, 11, 6),
+                                                (verify_spherical_design, 9, 5), (verify_spherical_design, 3, 2)])
+    def test_recurrence_runs_to_half_the_degree(self, monkeypatch, verify, t, top):
+        seen, rec = [], designs._recurrence
+        monkeypatch.setattr(designs, "_recurrence", lambda n, k, x, buf: seen.append((n, k)) or rec(n, k, x, buf))
+        verify(PointSet(3, random_points(MULTI_BLOCK_M + 3, 3, seed=1)), t)
+        assert len(seen) > 1 and set(seen) == {(2, top)}
+
+
+class TestWalkBuffers:
+    """The certificate's Gram walk allocates its arrays once: every block is a view
+    of one array, every T_k of another, and the peak does not grow with the blocks."""
+
+    def test_one_array_for_the_blocks_and_one_for_the_recurrence(self, monkeypatch):
+        blocks, yields, walk, rec = [], [], designs._gram_blocks, designs._recurrence
+
+        def gram_blocks(pts):
+            for i, block in walk(pts):
+                blocks.append(block)
+                yield i, block
+
+        def recurrence(n, t, x, buf):
+            for p in rec(n, t, x, buf):
+                yields.append(p)
+                yield p
+        monkeypatch.setattr(designs, "_gram_blocks", gram_blocks)
+        monkeypatch.setattr(designs, "_recurrence", recurrence)
+        verify_spherical_design(PointSet(4, random_points(4 * MULTI_BLOCK_M, 4, seed=3)), 8)
+        assert len(blocks) > 20 and len(yields) == 5 * len(blocks)
+        assert all(b.base is blocks[0].base is not None for b in blocks)
+        assert all(p.base is yields[0].base is not None for p in yields)
+        assert not np.shares_memory(blocks[0].base, yields[0].base)
+
+    def test_peak_does_not_grow_with_the_blocks(self):
+        # 3 blocks against 135: both peaks are the block array and the recurrence's
+        # four of _GRAM_BLOCK entries (655 kB), and vdot's copies of two leading
+        # squares, each under _GRAM_BLOCK entries (772 kB in all at m = 259)
+        peaks = []
+        for m in (MULTI_BLOCK_M + 3, 8 * MULTI_BLOCK_M):
+            X = PointSet(5, random_points(m, 5, seed=m))
+            tracemalloc.start()
+            try:
+                verify_spherical_design(X, 8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16e3
+        assert max(peaks) <= 7 * 8 * designs._GRAM_BLOCK
 
 
 LOW_MOMENT_SETS = {
@@ -723,7 +846,7 @@ class TestLowMoments:
         m = len(X)
         mu0, mu1, mu2 = designs._low_moments(X.points)
         assert mu0 == m * m
-        for got, want in zip((mu1, mu2), exact_low_moments(X.points)):
+        for got, want in zip((mu1, mu2), exact_moments(X.points, 2)[1:]):
             assert abs(Fraction(got) - want) <= 2.5e-13 * m
 
     @pytest.mark.parametrize("verify, t, degrees", [(verify_spherical_design, 2, [1, 2]),

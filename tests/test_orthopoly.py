@@ -185,6 +185,34 @@ class TestRecurrenceBuffers:
             assert all(np.array_equal(a, kept) for a, kept in held)
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_given_buffer_gives_the_same_bits_and_never_writes_x(self, n):
+        # designs._moments passes one array for every Gram block; only its first
+        # 4 x.size entries are used, and each yield is a view of them
+        x = np.cos(np.linspace(0, 3, 35)).reshape(5, 7)
+        before, buf = x.copy(), np.full(4 * x.size + 9, np.nan)
+        fresh = [p.copy() for p in _recurrence(n, 9, x)]
+        held = []
+        for p, want in zip(_recurrence(n, 9, x, buf), fresh, strict=True):
+            assert p.shape == x.shape and p.base is buf and not np.shares_memory(p, x)
+            assert np.array_equal(p, want)
+            held = held[-1:] + [(p, want)]
+            assert all(np.array_equal(a, kept) for a, kept in held)
+        assert np.array_equal(x, before) and np.isnan(buf[4 * x.size:]).all()
+
+    def test_one_buffer_across_shapes(self):
+        # as on the Gram walk: blocks of several shapes, each a view of one array
+        # that the buffer must not overlap, in turn through the same buffer
+        blocks, buf = np.empty(64), np.empty(4 * 64)
+        rng = np.random.default_rng(3)
+        for shape in [(8, 8), (3, 7), (1, 5), (8, 8)]:
+            x = blocks[:math.prod(shape)].reshape(shape)
+            x[...] = rng.uniform(-1, 1, shape)
+            before = x.copy()
+            prev, cur = deque(_recurrence(2, 6, x, buf), maxlen=2)
+            assert np.array_equal(x, before)
+            np.testing.assert_allclose([prev, cur], [np.cos(k * np.arccos(x)) for k in (5, 6)], rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("n", [2, 5])
     def test_degrees_zero_and_one(self, n):
         x = np.array([-0.5, 0.25])

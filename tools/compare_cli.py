@@ -186,6 +186,10 @@ CASES = [  # (argv, extra environment)
     # the circle's Chebyshev weights: numpy's allocation texts named neither n nor t
     (f"verify --in pent.json --t {2**62}", {}),
     (f"verify --in pent.json --t {10**400}", {}),
+    # --spherical listed every degree before checking the top one: an empty
+    # MemoryError line at t = 2^62, an OverflowError traceback at t = 10^400
+    (f"verify --in pent.json --t {2**62} --spherical", {}),
+    (f"verify --in pent.json --t {10**400} --spherical", {}),
 ]
 
 
