@@ -4,7 +4,7 @@ For a harmonic-index t-design X on S^{n-1}, comparing the double kernel sum
 of c + Q_{n,t} with its diagonal part gives |X| >= b_{n,t} := 1 + dim/c,
 where c = -min of Q_{n,t} on [-1,1] and dim is the harmonic dimension.
 The large-t behaviour is governed by Bessel functions via the Mehler-Heine
-scaling of the kernels.
+scaling of the kernels, evaluated here as a 0F1 series in decimal.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ import io
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .exactnum import QuadExt
-from .orthopoly import KernelSpec, bessel_first_zero, bessel_j, dim_harmonic, q_min
+from .orthopoly import KernelSpec, dim_harmonic, q_min
 
 __all__ = [
     "BoundReport",
@@ -185,8 +185,54 @@ class AsymptoteReport:
         }
 
 
+def _hyp0f1(a: Decimal, w: Decimal) -> Decimal:
+    """0F1(; a; w) = sum_k w^k / (k! (a)_k) in the current decimal context, to the first
+    term that leaves the sum unchanged (the terms grow only while (k+1)(a+k) < |w|)."""
+    k, term, total = 0, Decimal(1), Decimal(0)
+    while total + term != total:
+        total, k = total + term, k + 1
+        term *= w / (k * (a + k - 1))
+    return total
+
+
+def _digits(a: float) -> int:
+    """Working precision for 0F1(; a; -z^2/4) up to the top z of _first_zero's scan:
+    60 digits plus 3 times log10 of the series' largest term, since the terms cancel."""
+    w = (a - 1 + 2 * (a - 1) ** (1 / 3) + 7) ** 2 / 4
+    return 60 + int(3 * max(k * math.log10(w) - (math.lgamma(k + 1) + math.lgamma(a + k) - math.lgamma(a))
+                            / math.log(10) for k in range(int(w ** 0.5) + 1)))
+
+
+def _first_zero(a: Decimal) -> Decimal:
+    """First positive zero j_{nu,1}, nu = a - 1, of 0F1(; a; -z^2/4), in the current
+    decimal context.  J_nu > 0 on (0, j_{nu,1}), max(nu, 1) < j_{nu,1} < nu +
+    2*nu^(1/3) + 4 (Qu and Wong, above order 1), and zeros are over 3.115 apart, so
+    a scan from max(nu, 1) in steps of 3 ends in [j_{nu,1}, j_{nu,2}).  Safeguarded
+    Newton, with d/dz 0F1(; a; -z^2/4) = -z/(2a) 0F1(; a+1; -z^2/4), refines that
+    bracket: a step leaving it or not half the previous one becomes a bisection,
+    and a step below 1e-40 of z is the last."""
+    hi = Decimal(max(a - 1, 1))
+    while _hyp0f1(a, -hi * hi / 4) > 0:
+        hi += 3
+    lo, z, moved = hi - 3, hi - Decimal("1.5"), Decimal(3)
+    while moved >= z.scaleb(-40):
+        f = _hyp0f1(a, -z * z / 4)
+        lo, hi = (z, hi) if f > 0 else (lo, z)
+        step = -2 * a * f / (z * _hyp0f1(a + 1, -z * z / 4))
+        new = z - step if lo <= z - step <= hi and abs(step) <= moved / 2 else (lo + hi) / 2
+        z, moved = new, abs(new - z)
+    return z
+
+
 def asymptotic_bound(n: int) -> AsymptoteReport:
-    """Evaluate the Bessel-function limit data of b_{n,t} for fixed integer n >= 3."""
+    """Evaluate the Bessel-function limit data of b_{n,t} for fixed integer n >= 3.
+
+    J_alpha(z) = (z/2)^alpha / Gamma(alpha+1) * 0F1(; alpha+1; -z^2/4), so F is
+    0F1(; alpha+1; -j1^2/4) / Gamma(alpha+1) and limit_corrected is 1 - 1/0F1(...):
+    each value in decimal at _digits precision, rounded once to float64.  As
+    |0F1(; a; -z^2/4)| <= 1 for a >= 1/2, |limit - 1| >= Gamma(alpha+1), so from
+    n = 345 on the raise comes before any series term.
+    """
     try:
         n = operator.index(n)  # as dim_harmonic takes n: a plain int from here on
     except TypeError:
@@ -195,16 +241,16 @@ def asymptotic_bound(n: int) -> AsymptoteReport:
         raise ValueError(f"asymptote requires n >= 3, got {n}")
     if n >= 2 ** 1023:  # (n-3)/2 would overflow float64
         raise ValueError(f"asymptote requires n below 2^1023, got n={n}")
-    alpha = (n - 3) / 2
-    j1 = bessel_first_zero((n - 1) / 2)
-    with np.errstate(all="ignore"):
-        F = np.float64(j1 / 2) ** -alpha * bessel_j(alpha, j1)
-        limit = 1 - 1 / F
-        # Gamma(alpha + 1) overflows from alpha = 171, where F has underflowed and limit is inf
-        corrected = 1 - 1 / ((math.gamma(alpha + 1) if alpha < 171 else math.inf) * F)
-    for name, value in (("F", F), ("limit", limit), ("limit_corrected", corrected)):
-        if not np.isfinite(value):
-            raise ValueError(f"asymptote at n = {n}: {name} is {value}, not finite in float64")
+    if math.lgamma(min((n - 1) / 2, 1e300)) > math.log(sys.float_info.max):  # Gamma(alpha + 1); lgamma overflows past 2e305
+        raise ValueError(f"asymptote at n = {n}: limit is inf, not finite in float64")
+    with localcontext(Context(prec=_digits((n + 1) / 2))):  # default rounding and traps, whatever the caller's
+        z = _first_zero(Decimal(n + 1) / 2)
+        h = _hyp0f1(Decimal(n - 1) / 2, -z * z / 4)
+        root_pi = _first_zero(Decimal(3) / 2).sqrt() if n % 2 == 0 else 1  # Gamma(1/2), as pi = j_{1/2,1}
+        gamma = root_pi * math.prod(Decimal(n - 3 - 2 * i) / 2 for i in range((n - 2) // 2))  # Gamma(alpha + 1)
+        j1, F, limit, corrected = (float(v) for v in (z, h / gamma, 1 - gamma / h, 1 - 1 / h))
+    if not math.isfinite(limit):  # |F| <= 1/Gamma(3/2), and limit_corrected is below 1e28 to n = 344
+        raise ValueError(f"asymptote at n = {n}: limit is {limit}, not finite in float64")
     return AsymptoteReport(n=n, j1=j1, Fvalue=F, limit=limit, limit_corrected=corrected)
 
 

@@ -370,7 +370,7 @@ def lift_design(base: PointSet, t: int, r: float, root_tol: float = ROOT_RESIDUA
     |Q(r)| < root_tol * Q(1).
     """
     n = base.dim + 1
-    if abs(r) > 1:
+    if not abs(r) <= 1:  # NaN too
         raise ValueError(f"radius must lie in [-1, 1], got {r}")
     spec = KernelSpec(n, t)
     qr = q_eval(spec, r)
@@ -545,7 +545,7 @@ def separated_component_sums(base: PointSet, r: float, t: int) -> list[float]:
     """
     if base.dim != 2:
         raise ValueError("only a base design on S^1 (dim 2) is supported")
-    if abs(r) > 1:
+    if not abs(r) <= 1:  # NaN too
         raise ValueError("radius must lie in [-1, 1]")
     theta = np.arctan2(base.points[:, 1], base.points[:, 0])
     out = []

@@ -1,4 +1,4 @@
-"""Gegenbauer reproducing kernels and Bessel functions.
+"""Gegenbauer reproducing kernels: evaluation, roots and minima.
 
 The central object is the kernel Q_{n,t}, the degree-t Gegenbauer polynomial
 with parameter (n-2)/2 rescaled so that Q_{n,t}(1) equals the dimension of
@@ -24,8 +24,6 @@ __all__ = [
     "q_eval",
     "q_roots",
     "q_min",
-    "bessel_j",
-    "bessel_first_zero",
 ]
 
 ROOT_RESIDUAL_TOL = 1e-9  # |Q(root)| below this multiple of Q(1)
@@ -245,47 +243,3 @@ def q_min(spec: KernelSpec) -> MinimumReport:
     vmin = vals.min()
     near = cand[vals <= vmin + 1e-12 * abs(vmin)]
     return MinimumReport(c=-float(vmin), argmin=float(near.max()), method="derivative-roots")
-
-
-def bessel_j(alpha: float, z):
-    """Bessel function of the first kind J_alpha(z) for z >= 0 and order
-    0 <= alpha < 2^51, the limit of bessel_first_zero.
-
-    Delegates to scipy's jv, which is accurate to well over 10 significant
-    digits on the range used here (z up to ~60).
-    """
-    from scipy.special import jv  # imported on use: only the Bessel functions need it
-    if not 0 <= alpha < 2.0 ** 51:  # NaN and inf too
-        raise ValueError(f"Bessel order must lie in [0, 2^51), got {alpha}")
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("argument must be >= 0")
-    out = jv(alpha, arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def bessel_first_zero(alpha: float) -> float:
-    """First positive zero j_{alpha,1} of J_alpha, to about an ulp.
-
-    J_alpha > 0 on (0, j_{alpha,1}); max(alpha, 1) < j_{alpha,1} < alpha +
-    2*alpha^(1/3) + 4 (by Qu and Wong's bound above order 1); and zeros are
-    at least j_{0,2} - j_{0,1} = 3.115 apart.  So a scan from max(alpha, 1) in
-    steps of 3 up to alpha + 2*alpha^(1/3) + 7 passes j_{alpha,1}, and its
-    first point with J_alpha <= 0 lies before j_{alpha,2}.  _polish refines
-    that bracket, with J_alpha' = (alpha/z) J_alpha - J_{alpha+1}.  From order
-    2^51 on, jv shows no sign change near j_{alpha,1}: such orders raise
-    ValueError before the scan, which so stays under 87,400 points.
-    """
-    from scipy.special import jv
-    if not 0 <= alpha < 2.0 ** 51:  # NaN and inf too
-        raise ValueError(f"Bessel order must lie in [0, 2^51), got {alpha}")
-    grid = np.arange(max(alpha, 1.0), alpha + 2 * alpha ** (1 / 3) + 7, 3.0)
-    vals = jv(alpha, grid)
-    if not (i := int(np.argmax(vals <= 0))):  # J_alpha(max(alpha, 1)) > 0, so 0 means none is <= 0
-        raise RuntimeError(f"no sign change of J_{alpha} on [{grid[0]}, {grid[-1]}]: jv lost precision")
-
-    def newton(z):
-        j = jv(alpha, z)
-        return j, j / (alpha / z * j - jv(alpha + 1, z))
-
-    return float(_polish(newton, grid[[i - 1]], grid[[i]], vals[[i - 1]], vals[[i]])[0])

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hidesign import bounds
 from hidesign.bounds import (
     asymptotic_bound,
     bound_table,
@@ -19,7 +20,17 @@ from hidesign.bounds import (
     tight_inner_product,
 )
 from hidesign.exactnum import QuadExt
-from hidesign.orthopoly import bessel_j
+
+
+def mp_asymptote(n: int) -> tuple:
+    """(j1, F, limit, limit_corrected) from mpmath's Bessel functions at 60 digits, rounded to float."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        alpha = mp.mpf(n - 3) / 2
+        j1 = mp.besseljzero(alpha + 1, 1)
+        F = (j1 / 2) ** -alpha * mp.besselj(alpha, j1)
+        return tuple(float(v) for v in (j1, F, 1 - 1 / F, 1 - 1 / (mp.gamma(alpha + 1) * F)))
 
 
 class TestFisherBound:
@@ -166,18 +177,45 @@ class TestAsymptote:
     def test_n320_keeps_the_unguarded_values(self):
         # the last n before 1/F overflows: F is within a factor 300 of underflow
         rep = asymptotic_bound(320)
-        alpha = (320 - 3) / 2
-        F = (rep.j1 / 2) ** (-alpha) * bessel_j(alpha, rep.j1)
-        assert (rep.Fvalue, rep.limit, rep.limit_corrected) == (
-            F, 1 - 1 / F, 1 - 1 / (math.gamma(alpha + 1) * F))
+        assert (rep.j1, rep.Fvalue, rep.limit, rep.limit_corrected) == mp_asymptote(320)
         assert 1e307 < rep.limit < math.inf
 
     @pytest.mark.parametrize("n", [321, 400])
     def test_overflow_is_an_error_naming_n_and_the_field(self, n):
-        # from n = 321, 1/F exceeds float64; at n = 400 F itself underflows to 0
-        # and Gamma((n-1)/2) overflows
+        # from n = 321, 1/F exceeds float64; from n = 345 Gamma((n-1)/2) does too,
+        # and the raise comes before the series
         with pytest.raises(ValueError, match=f"asymptote at n = {n}: limit is inf, not finite"):
             asymptotic_bound(n)
+
+    @pytest.mark.parametrize("n", [345, 400, 2 ** 32, 2 ** 1023 - 1])
+    def test_refused_before_any_series_term(self, n, monkeypatch):
+        # |0F1(; a; -z^2/4)| <= 1 puts |limit - 1| >= Gamma((n-1)/2), beyond float64 from n = 345
+        def series(a, w):
+            raise AssertionError("a series term was evaluated")
+
+        monkeypatch.setattr(bounds, "_hyp0f1", series)
+        with pytest.raises(ValueError, match=re.escape(f"asymptote at n = {n}: limit is inf, not finite in float64") + "$"):
+            asymptotic_bound(n)
+
+    def test_n344_runs_the_series_before_the_raise(self, monkeypatch):
+        # Gamma(171.5) is still finite, so the limit is found infinite only from the series
+        series, calls = bounds._hyp0f1, []
+        monkeypatch.setattr(bounds, "_hyp0f1", lambda a, w: calls.append(w) or series(a, w))
+        with pytest.raises(ValueError, match=re.escape("asymptote at n = 344: limit is inf, not finite in float64") + "$"):
+            asymptotic_bound(344)
+        assert calls
+
+
+class TestAsymptoteAgainstMpmath:
+    """Every value is correctly rounded (at most 0.5 ulp from mpmath at each n from 3 to 320,
+    by an exact Gamma and the decimal series); the budget is 1 ulp."""
+
+    @pytest.mark.parametrize("n", [*range(3, 11), 24, 100, 200, 320])
+    def test_within_one_ulp(self, n):
+        rep = asymptotic_bound(n)
+        got = (rep.j1, rep.Fvalue, rep.limit, rep.limit_corrected)
+        for name, value, exact in zip(("j1", "F", "limit", "limit_corrected"), got, mp_asymptote(n)):
+            assert abs(value - exact) <= math.ulp(exact), (n, name, value, exact)
 
 
 class TestHighPrecisionCrossCheck:

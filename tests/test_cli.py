@@ -151,6 +151,14 @@ class TestConstructAndVerify:
                            "--t", "4", "--radius", "0.5")
         assert code == 2 and "not a root" in err
 
+    def test_lift_nan_radius_exits_2(self, tmp_path, capsys):
+        # NaN passed the root check and ended in "point 0 has norm nan"
+        base = tmp_path / "pentagon.json"
+        run(capsys, "construct", "regular-polygon", "--m", "5", "--out", str(base))
+        code, out, err = run(capsys, "construct", "lift", "--base", str(base), "--n", "3",
+                             "--t", "4", "--radius", "nan")
+        assert (code, out, err) == (2, "", "error: radius must lie in [-1, 1], got nan\n")
+
     def test_verify_pass_and_fail_exit_codes(self, tmp_path, capsys):
         x0_file = tmp_path / "x0.json"
         generate("x0_plus").save(x0_file)
@@ -352,12 +360,34 @@ class TestParser:
 
 class TestSubprocess:
     def test_cli_import_loads_neither_networkx_nor_scipy_special(self):
-        # nor any other scipy module: only the Bessel functions import scipy, on use
+        # nor any other scipy module: the runtime needs only numpy
         code = ("import sys, hidesign.cli; print(sorted(m for m in sys.modules "
                 "if m == 'networkx' or m == 'scipy' or m.startswith(('networkx.', 'scipy.'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes any import of scipy raise ImportError
+        pent, g4 = str(tmp_path / "pent.json"), tmp_path / "g4.g6"
+        g4.write_text("C?\nC~\nCF\n")
+        calls = [(["table", "--n", "3..5", "--t", "4..6"], 0),
+                 (["construct", "regular-polygon", "--m", "5", "--out", pent], 0),
+                 (["construct", "lift", "--base", pent, "--n", "3", "--t", "4"], 0),
+                 (["construct", "lift", "--base", pent, "--n", "3", "--t", "4", "--radius", "nan"], 2),
+                 (["verify", "--in", pent, "--t", "4", "--spherical"], 0),
+                 (["verify", "--in", pent, "--t", "5", "--spherical"], 1),
+                 (["tight", "--n", "23"], 0),
+                 (["embed", "--graphs", str(g4), "--b2", "2", "--n", "3"], 0),
+                 (["asymptote", "--n", "321"], 2),
+                 (["asymptote", "--n", "400", "--format", "json"], 2)]
+        calls += [(["asymptote", "--n", str(n), *fmt], 0) for n in range(3, 11) for fmt in ([], ["--format", "json"])]
+        code = ("import sys; sys.modules['scipy'] = None; import hidesign.cli as c; "
+                f"codes = [c.main(argv) for argv, _ in {calls!r}]; "
+                "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[want for _, want in calls]} []"
 
     def test_construct_and_verify_load_no_numpy_random(self, tmp_path):
         # PointSet's probe vector once came from numpy.random, 12 ms of import

@@ -906,6 +906,12 @@ class TestLift:
         with pytest.raises(ValueError, match="radius"):
             lift_design(pent, 4, 1.5)
 
+    @pytest.mark.parametrize("r", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        # NaN passed abs(r) > 1 and the root check, and failed later on a NaN norm
+        with pytest.raises(ValueError, match=re.escape(f"radius must lie in [-1, 1], got {r}") + "$"):
+            lift_design(generate("regular_polygon", m=5), 4, r)
+
     def test_lift_size_and_dim(self):
         hept = generate("regular_polygon", m=9)
         r = float(q_roots(KernelSpec(3, 6)).max())
@@ -1055,6 +1061,12 @@ class TestSeparatedComponents:
     def test_requires_circle_base(self):
         with pytest.raises(ValueError, match="S\\^1"):
             separated_component_sums(generate("x0_plus"), 0.5, 4)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 1.5])
+    def test_radius_outside_unit_interval_rejected(self, r):
+        # NaN once gave a list of NaNs
+        with pytest.raises(ValueError, match=re.escape("radius must lie in [-1, 1]") + "$"):
+            separated_component_sums(generate("regular_polygon", m=5), r, 4)
 
 
 class TestH4Basis:

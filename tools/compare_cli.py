@@ -110,6 +110,14 @@ CASES = [  # (argv, extra environment)
     ("asymptote --n 100 --format json", {}),
     ("asymptote --n 320", {}),
     ("asymptote --n 320 --format json", {}),
+    # the decimal series: limit and limit_corrected keep their 10 digits, j1 and F
+    # move only toward 60-digit mpmath
+    ("asymptote --n 3", {}),
+    ("asymptote --n 5 --format json", {}),
+    ("asymptote --n 24", {}),
+    ("asymptote --n 24 --format json", {}),
+    ("asymptote --n 200", {}),
+    ("asymptote --n 200 --format json", {}),
     ("tight --n 23", {}),
     ("tight --n 4", {}),
     ("tight --n 6", {}),
@@ -163,8 +171,16 @@ CASES = [  # (argv, extra environment)
     ("asymptote --n 321 --format json", {}),
     ("asymptote --n 400", {}),
     ("table --n 400 --t 1001", {}),
-    # (n-1)/2 = 2^51, the first Bessel order refused: jv shows no sign change near the zero
+    # (n-1)/2 = 2^51, the first Bessel order the scipy path refused; now refused as
+    # every n >= 345 is, from Gamma((n-1)/2) alone
     ("asymptote --n 4503599627370497", {}),
+    # the last n whose limit is found infinite from the series, the first refused
+    # before it, and n = 2^32, where the scipy path scanned for 0.3 s before the raise
+    ("asymptote --n 344", {}),
+    ("asymptote --n 345", {}),
+    ("asymptote --n 4294967296", {}),
+    # a NaN radius passed the root check and failed on a NaN norm
+    ("construct lift --base pent.json --n 3 --t 4 --radius nan", {}),
     # a base whose "source" is null was read as the string 'None'
     ("construct lift --base pent_null_source.json --n 3 --t 4", {}),
     # np.linalg.norm printed an overflow warning before the error line
