@@ -18,11 +18,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import ContextManager, TextIO
 
-
-from . import bounds, designs, tightness
-from .designs import PointSet
-from .exactnum import QuadExt
-from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, q_roots
+# modules, not names: each runs on first use, so numpy loads only for the float work
+from . import bounds, designs, exactnum, orthopoly, tightness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,7 +88,7 @@ def cmd_construct(args) -> int:
     if args.kind == "lift":
         if args.base is None:
             raise ValueError("lift requires --base FILE")
-        base = PointSet.load(args.base)
+        base = designs.PointSet.load(args.base)
         n, t = args.n, args.t
         if n is None or t is None:
             raise ValueError("lift requires --n and --t")
@@ -100,7 +97,7 @@ def cmd_construct(args) -> int:
         if args.radius is not None:
             r = args.radius
         else:
-            positive = [x for x in q_roots(KernelSpec(n, t)) if x > 0]
+            positive = [x for x in orthopoly.q_roots(orthopoly.KernelSpec(n, t)) if x > 0]
             positive.sort(reverse=True)  # index 1 is the largest positive root
             idx = args.root_index
             if idx < 1 or idx > len(positive):
@@ -121,7 +118,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ps = PointSet.load(args.infile)
+    ps = designs.PointSet.load(args.infile)
     if args.spherical:
         cert = designs.verify_spherical_design(ps, args.t, tol=args.tol)
     else:
@@ -181,7 +178,7 @@ def cmd_tight(args) -> int:
 
 def cmd_embed(args) -> int:
     try:
-        b2 = QuadExt.parse(args.b2)
+        b2 = exactnum.QuadExt.parse(args.b2)
     except ValueError as exc:
         raise ValueError(f"--b2: {exc}") from exc
     if args.json_adjacency:
@@ -228,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based index into the positive kernel roots, largest first")
     p.add_argument("--radius", type=float, default=None,
                    help="explicit lift radius; must be a kernel root")
-    p.add_argument("--tol", type=float, default=ROOT_RESIDUAL_TOL,
+    p.add_argument("--tol", type=float, default=orthopoly.ROOT_RESIDUAL_TOL,
                    help="root-residual tolerance for the lift radius")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="kernel-criterion certificate for a point-set file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--tol", type=float, default=designs.DEFAULT_VERIFY_TOL)
+    p.add_argument("--tol", type=float, default=orthopoly.DEFAULT_VERIFY_TOL)
     p.add_argument("--spherical", action="store_true",
                    help="check every degree 1..t (full spherical design)")
     p.set_defaults(func=cmd_verify)

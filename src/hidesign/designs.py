@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .exactnum import RationalPoly
-from .orthopoly import ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, _recurrence, dim_harmonic, q_eval
+from .orthopoly import DEFAULT_VERIFY_TOL, ROOT_RESIDUAL_TOL, KernelSpec, _chebyshev_weights, _recurrence, dim_harmonic, q_eval
 
 __all__ = [
     "InvalidPointSetError",
@@ -44,7 +44,6 @@ __all__ = [
 
 NORM_TOL = 1e-12
 DISTINCT_TOL = 1e-9
-DEFAULT_VERIFY_TOL = 1e-9
 # Gram entries per upper-triangle block: the work arrays of the distinctness
 # check, the kernel sums and the inner products, small enough to stay in cache
 _GRAM_BLOCK = 1 << 14

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import comb, cos, pi
 from typing import Iterator
 
-import numpy as np
-
 __all__ = [
     "dim_harmonic",
     "KernelSpec",
@@ -27,6 +25,7 @@ __all__ = [
 ]
 
 ROOT_RESIDUAL_TOL = 1e-9  # |Q(root)| below this multiple of Q(1)
+DEFAULT_VERIFY_TOL = 1e-9  # designs' kernel-sum tolerance, kept here where the CLI parser needs no numpy
 
 
 def dim_harmonic(n: int, t: int) -> int:
@@ -84,7 +83,8 @@ def _recurrence(n: int, t: int, x, _buf=None) -> Iterator:
     buffers and 2x are views of _buf (>= 4 x.size float64 entries, reused across
     calls) or of one new array, updated in place: a yielded array is overwritten two
     steps later, so a caller may keep the last two, and x itself is never written."""
-    if arr := isinstance(x, np.ndarray):  # P_1 = (n - 2 or 1) x, a copy of x on the circle
+    if arr := getattr(x, "ndim", 0) > 0:  # P_1 = (n - 2 or 1) x, a copy of x on the circle
+        import numpy as np
         prev, cur, spare, two_x = np.empty((4, *x.shape)) if _buf is None else _buf[:4 * x.size].reshape(4, *x.shape)
         prev.fill(1)
         cur, two_x = np.multiply(x, n - 2 or 1, out=cur), np.multiply(x, 2, out=two_x) if n == 2 else None
@@ -119,6 +119,7 @@ def _chebyshev_weights(n: int, k: int) -> np.ndarray:
     Szego 4.9.19, C_k^lam(cos th) = sum_j a_j a_{k-j} cos((k-2j) th), a_j = (lam)_j / j!, terms
     j and k-j merged, as a running product of ratios (n-2+2j)(k-j) / ((j+1)(n+2k-4-2j)) below
     C_k^lam(1) / a_k, finite while dim is: lam's ratios with both sides doubled, which is exact."""
+    import numpy as np
     try:
         j = np.arange(k // 2, dtype=float)
     except (MemoryError, ValueError):  # numpy's texts name neither n nor k
@@ -136,6 +137,7 @@ def q_eval(spec: KernelSpec, x):
     on [-1,1]; outside that interval the value grows like the unnormalized
     polynomial and loses meaning as a kernel.
     """
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     for last in _recurrence(spec.n, spec.t, np.atleast_1d(arr)):
         pass
@@ -149,6 +151,7 @@ def _polish(newton, lo, hi, flo, fhi) -> np.ndarray:
     f(x) and f(x)/f'(x); each root starts at its chord's zero (the midpoint on
     overflow), a step leaving the bracket or not half the previous one becomes
     a bisection, and a root is final when its step is <= 4 ulps."""
+    import numpy as np
     x = lo + (hi - lo) * (flo / (flo - fhi))
     x = np.where(np.isfinite(x), x, (lo + hi) / 2)
     moved, live = hi - lo, np.arange(len(x))
@@ -165,32 +168,33 @@ def _polish(newton, lo, hi, flo, fhi) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed recurrence raises below, without warnings
 def _roots(n: int, t: int, largest: bool = False) -> np.ndarray:
     """q_roots' bracketing pass and polish, ascending.  With largest, only the
     last bracket is polished, in Python floats: the last entry is then still
     the largest root, and the others are grid zeros."""
-    size = int(t + (n - 2) / 2 + 1) + 1
-    try:
-        half = np.sin(np.linspace(0.0, pi / 2, size))
-        grid = np.concatenate([-half[:0:-1], half])
-    except (MemoryError, ValueError):  # numpy's texts name neither n nor t
-        raise ValueError(f"cannot allocate the {2 * size - 1}-point root grid of Q_{{{n},{t}}}") from None
-    vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
-    cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(cross) + np.count_nonzero(vals == 0) != t:
-        why = ": the recurrence overflowed float64" if not np.isfinite(vals).all() else ""
-        raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points{why}")
-    a = t if n == 2 else t + n - 3
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed recurrence raises below, without warnings
+        size = int(t + (n - 2) / 2 + 1) + 1
+        try:
+            half = np.sin(np.linspace(0.0, pi / 2, size))
+            grid = np.concatenate([-half[:0:-1], half])
+        except (MemoryError, ValueError):  # numpy's texts name neither n nor t
+            raise ValueError(f"cannot allocate the {2 * size - 1}-point root grid of Q_{{{n},{t}}}") from None
+        vals = deque(_recurrence(n, t, grid), maxlen=1)[0]
+        cross = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        if len(cross) + np.count_nonzero(vals == 0) != t:
+            why = ": the recurrence overflowed float64" if not np.isfinite(vals).all() else ""
+            raise RuntimeError(f"could not isolate the {t} roots of Q_{{{n},{t}}} on {len(grid)} grid points{why}")
+        a = t if n == 2 else t + n - 3
 
-    def newton(x):  # np.divide keeps numpy's division by zero for a float x
-        x = x.item() if largest else x
-        prev, cur = deque(_recurrence(n, t, x), maxlen=2)
-        return cur, np.divide(cur * (1 - x * x), a * prev - t * x * cur)
+        def newton(x):  # np.divide keeps numpy's division by zero for a float x
+            x = x.item() if largest else x
+            prev, cur = deque(_recurrence(n, t, x), maxlen=2)
+            return cur, np.divide(cur * (1 - x * x), a * prev - t * x * cur)
 
-    cells = cross[-1:] if largest else cross
-    x = _polish(newton, grid[cells], grid[cells + 1], vals[cells], vals[cells + 1])
-    return np.sort(np.concatenate([x, grid[vals == 0]]))
+        cells = cross[-1:] if largest else cross
+        x = _polish(newton, grid[cells], grid[cells + 1], vals[cells], vals[cells + 1])
+        return np.sort(np.concatenate([x, grid[vals == 0]]))
 
 
 def q_roots(spec: KernelSpec) -> np.ndarray:
@@ -230,6 +234,7 @@ def q_min(spec: KernelSpec) -> MinimumReport:
     as from every root.  Of the locations attaining the minimum (a symmetric
     pair for even t) the largest is reported.
     """
+    import numpy as np
     n, t = spec.n, spec.t
     if t < 1:
         raise ValueError("the degree-0 kernel is constant")

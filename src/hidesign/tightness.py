@@ -13,12 +13,11 @@ Einhorn-Schoenberg rank test for isometric embeddability of a candidate
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
-
-import numpy as np
 
 from .bounds import tight_inner_product
 from .exactnum import QuadExt, fraction_free_rank
@@ -47,17 +46,26 @@ class GraphFormatError(ValueError):
     """A graph record in a corpus could not be parsed or validated."""
 
 
-def _check_adjacency(adj) -> np.ndarray:
-    a = np.array(adj, dtype=int)  # a copy: TwoDistGraph freezes it, not the caller's array
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _check_adjacency(adj) -> tuple[tuple[int, ...], ...]:
+    """adj as a new tuple of int tuples.  Entries must pass operator.index, so 0.9, 1.7 and "1"
+    raise; an array goes through tolist, as numpy's bools do not pass it but Python's do."""
+    try:
+        a = tuple(map(tuple, adj.tolist() if hasattr(adj, "tolist") else adj))
+    except TypeError:
+        raise GraphFormatError("adjacency matrix must be square") from None
+    if any(len(row) != len(a) for row in a):
         raise GraphFormatError("adjacency matrix must be square")
-    if a.shape[0] < 2:
-        raise GraphFormatError(f"a 2-distance graph needs at least 2 vertices, got {a.shape[0]}")
-    if not np.array_equal(a, a.T):
+    if len(a) < 2:
+        raise GraphFormatError(f"a 2-distance graph needs at least 2 vertices, got {len(a)}")
+    try:
+        a = tuple(tuple(map(operator.index, row)) for row in a)
+    except TypeError:
+        raise GraphFormatError("adjacency entries must be 0 or 1") from None
+    if a != tuple(zip(*a)):
         raise GraphFormatError("adjacency matrix must be symmetric")
-    if np.any(np.diag(a) != 0):
+    if any(row[i] for i, row in enumerate(a)):
         raise GraphFormatError("adjacency matrix must have a zero diagonal")
-    if not np.isin(a, (0, 1)).all():
+    if not all(v in (0, 1) for row in a for v in row):
         raise GraphFormatError("adjacency entries must be 0 or 1")
     return a
 
@@ -68,22 +76,21 @@ class TwoDistGraph:
 
     Distances are normalized so the smaller one is 1; ``b2`` is the exact
     squared larger distance, required to satisfy b2 > 1.  Edges join the
-    pairs at the larger distance.
+    pairs at the larger distance.  ``adjacency``, rows of 0/1 integers or a
+    2-d array, is stored as a tuple of int tuples, not the caller's object.
     """
 
-    adjacency: np.ndarray
+    adjacency: tuple[tuple[int, ...], ...]
     b2: QuadExt
 
     def __post_init__(self):
-        a = _check_adjacency(self.adjacency)
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency))
         if (self.b2 - 1).sign() <= 0:
             raise ValueError(f"squared distance ratio must exceed 1, got {self.b2}")
 
     @property
     def vertex_count(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def es_matrices(g: TwoDistGraph) -> list[list[QuadExt]]:
     def C(i: int, j: int) -> QuadExt:
         if i == j:
             return zero
-        return bm1 * int(g.adjacency[i, j]) + one
+        return bm1 * g.adjacency[i][j] + one
 
     return [
         [C(0, i) + C(0, j) - C(i, j) for j in range(1, m)]
@@ -214,39 +221,37 @@ def scan_graph_corpus(graphs: Iterable, b2: QuadExt, n: int) -> Iterator[ScanRec
     for idx, item in enumerate(graphs):
         try:
             g = TwoDistGraph(item, b2)
-        except (TypeError, ValueError) as exc:  # GraphFormatError, or numpy's for a non-array
+        except ValueError as exc:  # a GraphFormatError, or b2 at most 1
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
         res = es_embeddable(g, n)
         yield ScanRecord(idx, g.vertex_count, res.rank, res.embeddable)
 
 
-def _decode_graph6(record: bytes) -> np.ndarray:
+def _decode_graph6(record: bytes) -> tuple[tuple[int, ...], ...]:
     """Adjacency matrix of one graph6 record (McKay's format): N(n) as one
     byte n+63 (n <= 62) or 126 and three bytes (n <= 258047), then the upper
     triangle column by column, six bits per byte, each byte + 63."""
-    data = np.frombuffer(record, dtype=np.uint8).astype(np.int64) - 63
-    if data.min() < 0 or data.max() > 63:
+    data = [byte - 63 for byte in record]
+    if min(data) < 0 or max(data) > 63:
         raise GraphFormatError("each input character must be in range(63, 127)")
     if data[0] < 63:
-        n, data = int(data[0]), data[1:]
-    elif data.size > 1 and data[1] == 63:
+        n, data = data[0], data[1:]
+    elif len(data) > 1 and data[1] == 63:
         raise GraphFormatError("8-byte vertex counts (more than 258047 vertices) are not supported")
-    elif data.size < 4:
+    elif len(data) < 4:
         raise GraphFormatError("4-byte vertex count cut short")
     else:
-        n, data = int(data[1] << 12 | data[2] << 6 | data[3]), data[4:]
+        n, data = data[1] << 12 | data[2] << 6 | data[3], data[4:]
     pairs = n * (n - 1) // 2
-    if data.size != (pairs + 5) // 6:
-        raise GraphFormatError(f"Expected {pairs} bits but got {data.size * 6} in graph6")
-    bits = (data[:, None] >> np.arange(5, -1, -1) & 1).ravel()[:pairs]
-    j, i = np.tril_indices(n, -1)  # (0,1), (0,2), (1,2), (0,3), ...: column order
-    adj = np.zeros((n, n), dtype=int)
-    adj[i, j] = adj[j, i] = bits
-    return adj
+    if len(data) != (pairs + 5) // 6:
+        raise GraphFormatError(f"Expected {pairs} bits but got {len(data) * 6} in graph6")
+    bits = iter([d >> s & 1 for d in data for s in range(5, -1, -1)])
+    upper = [[next(bits) for _ in range(j)] for j in range(n)]  # column j: (0,j), (1,j), ..., (j-1,j)
+    return tuple(tuple(upper[j][i] if i < j else upper[i][j] if j < i else 0 for j in range(n)) for i in range(n))
 
 
-def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[np.ndarray]:
-    """Yield adjacency matrices from graph6 text, one graph per line.
+def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield adjacency matrices, each a tuple of int tuples, from graph6 text, one graph per line.
 
     ``source`` is a path or an iterable of lines.  The optional
     ">>graph6<<" header is skipped; a malformed line raises
@@ -272,8 +277,9 @@ def read_graph6(source: Union[str, Path, Iterable[str]]) -> Iterator[np.ndarray]
         yield adj
 
 
-def read_adjacency_json(text: str) -> Iterator[np.ndarray]:
-    """Yield adjacency matrices from a JSON list (or {"graphs": [...]})."""
+def read_adjacency_json(text: str) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield adjacency matrices, as read_graph6 does, from a JSON list (or {"graphs": [...]});
+    an entry other than the integers 0 and 1 (or false and true) raises GraphFormatError."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,7 +291,7 @@ def read_adjacency_json(text: str) -> Iterator[np.ndarray]:
     for idx, adj in enumerate(body):
         try:
             yield _check_adjacency(adj)
-        except (TypeError, ValueError) as exc:
+        except GraphFormatError as exc:
             raise GraphFormatError(f"graph #{idx}: {exc}") from exc
 
 

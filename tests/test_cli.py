@@ -343,6 +343,23 @@ class TestEmbed:
         assert code == 0
         assert json.loads(out.strip())["rank"] == 1
 
+    @pytest.mark.parametrize("entry", ["1.7", "0.5", '"1"'])
+    def test_json_adjacency_non_integer_entry_exits_2(self, tmp_path, capsys, entry):
+        # 1.7 and "1" were cast to an edge, 0.5 to a non-edge, without a word
+        path = tmp_path / "graphs.json"
+        path.write_text(f"[[[0,1],[1,0]], [[0,{entry}],[{entry},0]]]")
+        code, out, err = run(capsys, "embed", "--graphs", str(path), "--json-adjacency",
+                             "--b2", "2", "--n", "1")
+        assert code == 2 and err == "error: graph #1: adjacency entries must be 0 or 1\n"
+        assert [json.loads(line)["index"] for line in out.splitlines()] == [0]
+
+    def test_json_adjacency_booleans_are_edges(self, tmp_path, capsys):
+        path = tmp_path / "graphs.json"
+        path.write_text("[[[false,true],[true,false]]]")
+        code, out, _ = run(capsys, "embed", "--graphs", str(path), "--json-adjacency",
+                           "--b2", "2", "--n", "1")
+        assert code == 0 and json.loads(out)["rank"] == 1
+
 
 class TestParser:
     def test_construct_tol_default_is_the_root_tolerance(self):
@@ -388,6 +405,26 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[want for _, want in calls]} []"
+
+    def test_exact_subcommands_run_with_numpy_blocked(self, tmp_path):
+        # tight, asymptote and embed use no float array, so they load no numpy: with
+        # sys.modules['numpy'] = None before import hidesign, any import of it would raise
+        g6 = tmp_path / "g.g6"
+        g6.write_text("\n".join(["C?", "C~", "CF", "CJ", "IheA@GUAo", "I????????"]) + "\n")
+        bad = tmp_path / "bad.g6"
+        bad.write_text("C?\nC>\n")
+        calls = [["tight", "--n", "23"], ["tight", "--n", "23", "--format", "json"], ["tight", "--n", "7"],
+                 ["asymptote", "--n", "7"], ["asymptote", "--n", "8", "--format", "json"],
+                 ["embed", "--graphs", str(g6), "--b2", "2", "--n", "3"],
+                 ["embed", "--graphs", str(g6), "--b2", "(7+√33)/4", "--n", "7"],
+                 ["embed", "--graphs", str(bad), "--b2", "2", "--n", "3"]]
+        blocked = ("import runpy, sys; sys.modules['numpy'] = None; import hidesign; "
+                   "sys.argv[1:] = sys.argv[2:]; runpy.run_module('hidesign', run_name='__main__')")
+        for argv in calls:
+            free = subprocess.run([sys.executable, "-c", blocked, "--", *argv], capture_output=True, text=True)
+            plain = subprocess.run([sys.executable, "-m", "hidesign", *argv], capture_output=True, text=True)
+            assert (free.returncode, free.stdout, free.stderr) == (plain.returncode, plain.stdout, plain.stderr), argv
+            assert free.returncode == (2 if argv[2] == str(bad) else 0) and free.stdout, argv
 
     def test_construct_and_verify_load_no_numpy_random(self, tmp_path):
         # PointSet's probe vector once came from numpy.random, 12 ms of import

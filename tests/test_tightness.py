@@ -33,6 +33,11 @@ SQUARE_DIAGONALS = np.array([
 ])
 
 
+def int_tuples(adj) -> bool:
+    """A stored graph: a tuple of tuples whose every entry is a plain int."""
+    return type(adj) is tuple and all(type(row) is tuple and all(type(v) is int for v in row) for row in adj)
+
+
 def four_vertex_graphs() -> list[np.ndarray]:
     """All 11 simple graphs on 4 vertices, from the networkx atlas."""
     graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 4]
@@ -220,12 +225,40 @@ class TestScan:
             next(scan)
 
     def test_caller_array_stays_writable(self):
-        adj = np.array([[0, 1], [1, 0]], dtype=np.int64)
-        list(scan_graph_corpus([adj], QuadExt(3), 2))
-        g = TwoDistGraph(adj, QuadExt(3))
-        assert adj.flags.writeable and not g.adjacency.flags.writeable
-        adj[0, 1] = 0
-        assert g.adjacency[0, 1] == 1
+        # the stored adjacency is an immutable tuple of int tuples, apart from the caller's
+        # array or lists, which stay writable
+        for adj in (np.array([[0, 1], [1, 0]], dtype=np.int64), [[0, 1], [1, 0]]):
+            list(scan_graph_corpus([adj], QuadExt(3), 2))
+            g = TwoDistGraph(adj, QuadExt(3))
+            assert g.adjacency == ((0, 1), (1, 0)) and int_tuples(g.adjacency)
+            with pytest.raises(TypeError):
+                g.adjacency[0][1] = 0
+            adj[0][1] = 0
+            assert g.adjacency[0][1] == 1 and g.vertex_count == 2
+
+    @pytest.mark.parametrize("entry", [1.7, 0.5, 0.9, 1.0, "1", None, [1], np.float64(1.0), 1 + 0j],
+                             ids=["1.7", "0.5", "0.9", "1.0", "str", "None", "list", "float64", "complex"])
+    def test_non_integer_entries_raise(self, entry):
+        # they were cast by int(): 1.7 and "1" made an edge, 0.5 and 0.9 a non-edge
+        with pytest.raises(GraphFormatError, match="entries must be 0 or 1"):
+            TwoDistGraph([[0, entry], [entry, 0]], QuadExt(2))
+        with pytest.raises(GraphFormatError, match="graph #1: adjacency entries must be 0 or 1"):
+            list(scan_graph_corpus([SQUARE_DIAGONALS, [[0, entry], [entry, 0]]], QuadExt(2), 3))
+
+    @pytest.mark.parametrize("adj", [
+        [[False, True], [True, False]],
+        np.array([[False, True], [True, False]]),
+        np.array([[0, 1], [1, 0]], dtype=np.uint8),
+        [[np.int64(0), np.int32(1)], [np.int8(1), np.uint64(0)]],
+        ((0, 1), (1, 0)),
+    ], ids=["bools", "bool-array", "uint8-array", "numpy-ints", "tuples"])
+    def test_integer_and_boolean_entries_are_plain_ints(self, adj):
+        g = TwoDistGraph(adj, QuadExt(2))
+        assert g.adjacency == ((0, 1), (1, 0)) and int_tuples(g.adjacency)
+
+    def test_float_array_is_rejected(self):
+        with pytest.raises(GraphFormatError, match="entries must be 0 or 1"):
+            TwoDistGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), QuadExt(2))
 
     def test_each_adjacency_checked_once(self, monkeypatch):
         calls = []
@@ -262,7 +295,7 @@ class TestGraphIO:
             line = nx.to_graph6_bytes(g, header=False).decode("ascii")
             expect = nx.to_numpy_array(g, dtype=int, nodelist=sorted(g.nodes()))
             (got,) = read_graph6([line])
-            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            assert int_tuples(got) and len(got) == g.number_of_nodes() and got == tuple(map(tuple, expect.tolist()))
 
     def test_graph6_matches_networkx_with_four_byte_counts(self):
         rng = np.random.default_rng(6)
@@ -274,7 +307,7 @@ class TestGraphIO:
         assert all(line.startswith("~") for line in lines)  # 126, then 18 bits of n
         got = list(read_graph6(lines))
         assert len(got) == len(expect)
-        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+        assert all(int_tuples(a) and a == tuple(map(tuple, b.tolist())) for a, b in zip(got, expect))
 
     @pytest.mark.parametrize("record, message", [
         ("C>", "range"),  # ">" is 62, below the lowest graph6 byte 63
@@ -294,14 +327,24 @@ class TestGraphIO:
         lines = iter(["C~", "C>"])
         graphs = read_graph6(lines)
         assert inspect.isgenerator(graphs)
-        assert next(graphs).shape == (4, 4)
+        first = next(graphs)
+        assert int_tuples(first) and len(first) == 4 and all(len(row) == 4 for row in first)
         with pytest.raises(GraphFormatError, match="line 2"):
             next(graphs)
 
     def test_adjacency_json(self):
-        text = '{"graphs": [[[0,1],[1,0]], [[0,0],[0,0]]]}'
+        text = '{"graphs": [[[0,1],[1,0]], [[0,0],[0,0]], [[false,true],[true,false]]]}'
         out = list(read_adjacency_json(text))
-        assert len(out) == 2 and out[0][0][1] == 1
+        assert out == [((0, 1), (1, 0)), ((0, 0), (0, 0)), ((0, 1), (1, 0))]
+        assert all(int_tuples(adj) for adj in out)
+
+    @pytest.mark.parametrize("entry", ["1.7", "0.5", "0.9", "1.0", '"1"', "null", "1e0"])
+    def test_adjacency_json_non_integer_entry_names_the_graph(self, entry):
+        text = f"[[[0,1],[1,0]], [[0,{entry}],[{entry},0]]]"
+        graphs = read_adjacency_json(text)
+        assert next(graphs) == ((0, 1), (1, 0))
+        with pytest.raises(GraphFormatError, match="^graph #1: adjacency entries must be 0 or 1$"):
+            next(graphs)
 
     def test_adjacency_json_errors(self):
         with pytest.raises(GraphFormatError, match="#0"):

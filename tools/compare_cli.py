@@ -48,6 +48,8 @@ INPUTS = {
     "bad_ff.g6": b"C?\n\xff\n",
     "small.g6": b"C~\n@\n",
     "graphs.json": json.dumps([[[0, 1], [1, 0]]]).encode(),
+    **{f"entry_{name}.json": json.dumps([[[0, 1], [1, 0]], [[0, v], [v, 0]]]).encode()
+       for name, v in (("1.7", 1.7), ("0.5", 0.5), ("str1", "1"), ("true", True))},
     "bad.json": json.dumps({"dim": 2, "points": [["0.5", "0.0"]]}).encode(),
     "nan.json": json.dumps({"dim": 2, "points": [["1", "0"], ["nan", "0"]]}).encode(),
     "s2_500.json": _sphere_points(500, 3, 500),
@@ -206,6 +208,12 @@ CASES = [  # (argv, extra environment)
     # MemoryError line at t = 2^62, an OverflowError traceback at t = 10^400
     (f"verify --in pent.json --t {2**62} --spherical", {}),
     (f"verify --in pent.json --t {10**400} --spherical", {}),
+    # adjacency entries were cast by int(): 1.7 and "1" made an edge and 0.5 a
+    # non-edge without an error; true stays an edge
+    ("embed --graphs entry_1.7.json --json-adjacency --b2 2 --n 1", {}),
+    ("embed --graphs entry_0.5.json --json-adjacency --b2 2 --n 1", {}),
+    ("embed --graphs entry_str1.json --json-adjacency --b2 2 --n 1", {}),
+    ("embed --graphs entry_true.json --json-adjacency --b2 2 --n 1", {}),
 ]
 
 
