@@ -15,7 +15,8 @@ import sys as _sys
 
 __version__ = "0.1.0"
 
-_MODULES = ("bounds", "designs", "exactnum", "orthopoly", "tightness")
+# a package-level name runs these in order until one exports it: designs, which loads numpy, last
+_MODULES = ("exactnum", "orthopoly", "bounds", "tightness", "designs")
 
 for _name in _MODULES:  # registered in sys.modules, each run on its first attribute access
     _spec = _util.find_spec(f"{__name__}.{_name}")

@@ -135,8 +135,12 @@ def q_eval(spec: KernelSpec, x):
     Uses the classical three-term recurrence, rescaled by the exact
     normalization so that Q_{n,t}(1) = dim_harmonic(n, t).  Well conditioned
     on [-1,1]; outside that interval the value grows like the unnormalized
-    polynomial and loses meaning as a kernel.
+    polynomial and loses meaning as a kernel.  An int or float (np.float64 too)
+    runs as float(x) in Python floats: no numpy, no overflow warning, and the
+    array path's value bit for bit (the same float64 operations, in order).
     """
+    if isinstance(x, (int, float)):
+        return deque(_recurrence(spec.n, spec.t, float(x)), maxlen=1)[0] * _scale(spec.n, spec.t)
     import numpy as np
     arr = np.asarray(x, dtype=float)
     for last in _recurrence(spec.n, spec.t, np.atleast_1d(arr)):
@@ -230,9 +234,9 @@ def q_min(spec: KernelSpec) -> MinimumReport:
     (toward -1 by parity) and stay below Q(1) = dim.  The minimum is Q(+-xi),
     xi the largest root of Q_{n+2,t-1}, for even t, and Q(-1) = -dim for odd
     t.  So only xi is polished (q_roots' last bracket), in both parities, and
-    Q is evaluated at -xi, xi, -1 and 1: the same c and argmin, bit for bit,
-    as from every root.  Of the locations attaining the minimum (a symmetric
-    pair for even t) the largest is reported.
+    Q is evaluated at -xi, xi, -1 and 1 in Python floats: the same c and
+    argmin, bit for bit, as from every root.  Of the locations attaining the
+    minimum (a symmetric pair for even t) the largest is reported.
     """
     import numpy as np
     n, t = spec.n, spec.t
@@ -244,7 +248,7 @@ def q_min(spec: KernelSpec) -> MinimumReport:
         return MinimumReport(c=float(n), argmin=-1.0, method="linear-closed-form")
     xi = _roots(n + 2, t - 1, largest=True)[-1]
     cand = np.array([-xi, xi, -1.0, 1.0])
-    vals = q_eval(spec, cand)
+    vals = np.array([q_eval(spec, x) for x in cand])
     vmin = vals.min()
     near = cand[vals <= vmin + 1e-12 * abs(vmin)]
     return MinimumReport(c=-float(vmin), argmin=float(near.max()), method="derivative-roots")

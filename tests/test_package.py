@@ -91,3 +91,15 @@ def test_submodule_and_private_names_load_nothing(probe):
 
 def test_from_import_of_the_cli_loads_no_numpy():
     assert fresh("import sys; from hidesign import cli; cli.build_parser(); print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("name", ["QuadExt", "q_eval", "tightness_dossier", "fisher_bound"])
+def test_names_of_numpy_free_modules_load_no_numpy(name):
+    # a name lookup runs exactnum, orthopoly, bounds and tightness before designs
+    assert fresh(f"import sys, hidesign; hidesign.{name}; print('numpy' in sys.modules)") == "False"
+
+
+def test_scalar_kernel_value_runs_with_numpy_blocked():
+    code = ("import sys; sys.modules['numpy'] = None; import hidesign; "
+            "print(hidesign.q_eval(hidesign.KernelSpec(5, 10), 0.3).hex())")
+    assert fresh(code) == "0x1.4e93a8eacdf92p+4"

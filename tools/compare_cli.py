@@ -208,6 +208,10 @@ CASES = [  # (argv, extra environment)
     # MemoryError line at t = 2^62, an OverflowError traceback at t = 10^400
     (f"verify --in pent.json --t {2**62} --spherical", {}),
     (f"verify --in pent.json --t {10**400} --spherical", {}),
+    # the kernel's four candidate values overflowed float64 in a numpy pass, which
+    # printed three RuntimeWarnings before the error line; Python floats print none
+    ("table --n 100000 --t 100", {}),
+    ("table --n 1000 --t 400", {}),
     # adjacency entries were cast by int(): 1.7 and "1" made an edge and 0.5 a
     # non-edge without an error; true stays an edge
     ("embed --graphs entry_1.7.json --json-adjacency --b2 2 --n 1", {}),
