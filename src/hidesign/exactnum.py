@@ -31,9 +31,13 @@ class IncompatibleRadicandError(ValueError):
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
-    """Write m = s*s*d with d square-free.  Returns (s, d).  Requires m >= 1."""
+    """Write m = s*s*d with d square-free.  Returns (s, d).
+
+    Requires 1 <= m < 2^40: trial division runs to sqrt(m)."""
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
+    if m >= 2 ** 40:
+        raise ValueError(f"radicand {m} is not below 2^40, the limit of trial division")
     s, d = 1, 1
     p = 2
     while p * p <= m:
@@ -56,10 +60,11 @@ def _sign(x: Fraction) -> int:
 class QuadExt:
     """Exact element a + b*sqrt(d) of a real quadratic field Q(sqrt(d)).
 
-    ``d`` is normalized to be square-free and positive; purely rational values
-    carry d = 1.  Values with the same radicand combine exactly; mixing two
-    distinct irrational radicands raises :class:`IncompatibleRadicandError`.
-    Sign determination, and hence all comparisons, are exact.
+    Normal form: Fractions a and b, a square-free int d >= 1, and d = 1 exactly
+    when b = 0.  The constructor, ``sqrt`` and ``parse`` normalise; arithmetic
+    builds its results from parts already in that form.  Values with the same
+    radicand combine exactly; mixing two distinct irrational radicands raises
+    :class:`IncompatibleRadicandError`.  Signs, hence comparisons, are exact.
     """
 
     __slots__ = ("a", "b", "d")
@@ -79,6 +84,15 @@ class QuadExt:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _new(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) from Fractions a, b and a square-free d, with no checks; d drops to 1 when b = 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d if b else 1)
+        return self
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("QuadExt is immutable")
@@ -140,7 +154,7 @@ class QuadExt:
         return self.a
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return QuadExt._new(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a*a - d*b*b."""
@@ -148,7 +162,7 @@ class QuadExt:
 
     def _join(self, other) -> tuple["QuadExt", "QuadExt", int]:
         if not isinstance(other, QuadExt):
-            other = QuadExt(other)
+            other = QuadExt._new(Fraction(other), _ZERO, 1) if type(other) in (int, Fraction) else QuadExt(other)
         if self.d == other.d:
             return self, other, self.d
         if self.is_rational:
@@ -166,15 +180,19 @@ class QuadExt:
             x, y, d = self._join(other)
         except TypeError:
             return NotImplemented
-        return QuadExt(x.a + y.a, x.b + y.b, d)
+        return QuadExt._new(x.a + y.a, x.b + y.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._new(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + -(other if isinstance(other, QuadExt) else QuadExt(other))
+        try:
+            x, y, d = self._join(other)
+        except TypeError:
+            return NotImplemented
+        return QuadExt._new(x.a - y.a, x.b - y.b, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -184,19 +202,16 @@ class QuadExt:
             x, y, d = self._join(other)
         except TypeError:
             return NotImplemented
-        return QuadExt(x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a, d)
+        return QuadExt._new(x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, QuadExt):
-            other = QuadExt(other)
-        n = other.norm()
+        x, y, d = self._join(other)
+        n = y.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        x, y, d = self._join(other)
-        inv = QuadExt(y.a / n, -y.b / n, d)
-        return x * inv
+        return x * QuadExt._new(y.a / n, -y.b / n, y.d)
 
     def __rtruediv__(self, other):
         return QuadExt(other) / self
@@ -220,13 +235,14 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
+            return not self.b and self.a == other
         if not isinstance(other, QuadExt):
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value equals its int or Fraction, so it hashes as one
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -259,6 +275,9 @@ class QuadExt:
         if self.a == 0:
             return f"-{surd}" if self.b < 0 else surd
         return f"{self.a} {sign} {surd}"
+
+
+_ZERO = Fraction(0)
 
 
 class RationalPoly:

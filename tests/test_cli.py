@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -361,6 +362,23 @@ class TestEmbed:
         assert code == 0 and json.loads(out)["rank"] == 1
 
 
+class TestOutputPins:
+    """SHA-256 of the dossier for n = 2..400 as `hidesign tight` prints it, in
+    text and in JSON.  A change to the exact arithmetic keeps it byte for byte."""
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "77481945e5aab16f8dde7a03e7fb93a66b7e7d126f1fa6d08ae94667555d405e"),
+        ("json", "9a9a518f3d40b852564ccc71aaab2cf081b4fa540ab93ac05c6b4f9845d441af"),
+    ], ids=["text", "json"])
+    def test_dossier_n_2_to_400(self, capsys, fmt, digest):
+        out = []
+        for n in range(2, 401):
+            code, text, err = run(capsys, "tight", "--n", str(n), "--format", fmt)
+            assert (code, err) == (0, "")
+            out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 class TestParser:
     def test_construct_tol_default_is_the_root_tolerance(self):
         from hidesign.cli import build_parser
@@ -475,6 +493,17 @@ class TestSubprocess:
                                   capture_output=True, text=True, timeout=30)
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr == f"error: the exact tightness path takes n < 2^32, got n={n}\n"
+
+    def test_large_radicand_exits_2_at_once(self, tmp_path):
+        # 2^61 - 1 is prime: the trial division of it did not finish in 5 minutes
+        path = tmp_path / "small.g6"
+        path.write_text("C~\n@\n")
+        proc = subprocess.run([sys.executable, "-m", "hidesign", "embed", "--graphs", str(path),
+                               "--b2", "(1+√2305843009213693951)/2", "--n", "7"],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: --b2: radicand 2305843009213693951 is not below 2^40, "
+                               "the limit of trial division\n")
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

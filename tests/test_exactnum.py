@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from hidesign.bounds import tight_inner_product
 from hidesign.exactnum import (
     IncompatibleRadicandError,
     QuadExt,
@@ -112,6 +113,30 @@ class TestQuadExt:
         assert squarefree_decompose(24) == (2, 6)
         assert squarefree_decompose(1) == (1, 1)
 
+    def test_rational_values_hash_as_their_int_or_fraction(self):
+        # equal values must hash alike: {2, QuadExt(2)} held two elements
+        assert len({2, QuadExt(2)}) == 1
+        assert hash(QuadExt(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert {Fraction(-3, 4): "x"}[QuadExt(Fraction(-3, 4))] == "x"
+        assert hash(QuadExt(0, 1, 9)) == hash(3) and hash(QuadExt(0, 1, 8)) == hash(QuadExt(0, 2, 2))
+        assert len({QuadExt(1, 1, 2), QuadExt(1, -1, 2), QuadExt(1, 1, 2) * 1}) == 2
+
+    def test_radicand_limit(self):
+        # trial division runs to sqrt(m): the largest prime below 2^40 is the
+        # longest allowed; 2^61 - 1 (prime) did not finish in 5 minutes before the limit
+        p = 2 ** 40 - 87
+        assert squarefree_decompose(p) == (1, p)
+        assert squarefree_decompose(4 * 3 ** 20) == (2 * 3 ** 10, 1)
+        for m in (2 ** 40, 2 ** 61 - 1):
+            with pytest.raises(ValueError, match=f"radicand {m} is not below 2\\^40"):
+                squarefree_decompose(m)
+        with pytest.raises(ValueError, match="radicand 2305843009213693951 "):
+            QuadExt.parse("(1+√2305843009213693951)/2")
+        with pytest.raises(ValueError, match="radicand 1099511627776 "):
+            QuadExt.sqrt(Fraction(1, 2 ** 40))
+        # the exact tightness path's radicands, 3(n+4) for n < 2^32, stay below 2^35
+        assert tight_inner_product(2 ** 32 - 1) == QuadExt.sqrt(Fraction(3, 2 ** 32 + 3))
+
 
 _rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -121,6 +146,59 @@ def _quadexts(draw, d=None):
     if d is None:
         d = draw(st.sampled_from([2, 3, 5, 6, 33]))
     return QuadExt(draw(_rationals), draw(_rationals), d)
+
+
+def _assert_normal_form(r):
+    """Fractions a and b, a square-free int d, d = 1 exactly when b = 0, and the
+    same fields as the validating constructor gives for them."""
+    assert type(r) is QuadExt
+    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+    assert r.d >= 1 and squarefree_decompose(r.d)[0] == 1
+    assert (r.d == 1) == (r.b == 0)
+    fresh = QuadExt(r.a, r.b, r.d)
+    assert (type(fresh.a), type(fresh.b), type(fresh.d)) == (Fraction, Fraction, int)
+    assert (fresh.a, fresh.b, fresh.d) == (r.a, r.b, r.d)
+
+
+_parts = st.one_of(st.just(Fraction(0)), _rationals)
+# square-free, and not: 24 = 2^2*6 and 81 = 9^2 normalise in the constructor
+_radicands = st.sampled_from([1, 2, 3, 5, 33, 273, 24, 81])
+
+
+class TestQuadExtNormalForm:
+    """Arithmetic builds its results without the constructor's checks; each
+    result must still be exactly what the constructor would have built."""
+
+    @seed(20261021)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_operation_keeps_normal_form(self, data):
+        d = data.draw(_radicands)
+        x = QuadExt(data.draw(_parts), data.draw(_parts), d)
+        # the other operand: the same radicand, a rational, or a plain int or Fraction
+        y = data.draw(st.one_of(
+            st.builds(QuadExt, _parts, _parts, st.just(d)),
+            st.builds(QuadExt, _parts),
+            st.integers(-5, 5),
+            _parts,
+        ))
+        results = [x + y, y + x, x - y, y - x, x * y, y * x, -x, x.conjugate(), x - x,
+                   x * x.conjugate(), x + x.conjugate(), x - x.conjugate()]
+        if y != 0:
+            results += [x / y]
+        if x != 0:
+            results += [y / x, 1 / x]
+        for r in results:
+            _assert_normal_form(r)
+        _assert_normal_form(QuadExt(x.a, x.b, d))
+        for r in results + [x]:
+            parsed = QuadExt.parse(str(r))
+            _assert_normal_form(parsed)
+            assert parsed == r
+        q = abs(data.draw(_parts))
+        root = QuadExt.sqrt(q)
+        _assert_normal_form(root)
+        assert root * root == q and root.sign() >= 0
 
 
 class TestQuadExtFieldAxioms:

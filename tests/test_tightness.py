@@ -1,8 +1,10 @@
 """Musin reduction, LRS integrality, Einhorn-Schoenberg rank test, dossiers
 and their reduced Delsarte certificates."""
 
+import hashlib
 import inspect
 import json
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -399,7 +401,7 @@ class TestDossier:
 
     def test_limit_of_the_exact_path(self):
         # n + 4 = 4294967291 is prime; beyond 2^32 the trial division of
-        # 3(n+4), repeated in every QuadExt operation, took seconds
+        # 3(n+4), then repeated in every QuadExt operation, took seconds
         assert tightness_dossier(4294967287).status == "excluded"
         for n in (2 ** 32, 4294967353, 10000000000000057):
             with pytest.raises(ValueError, match=f"takes n < 2\\^32, got n={n}$"):
@@ -470,6 +472,34 @@ def gegenbauer3(m: int, x: QuadExt) -> QuadExt:
         return (2 * (2 + lam) * x * c2 - (1 + 2 * lam) * c1) / 3
 
     return c3(x) / c3(QuadExt(1))
+
+
+class TestScanRecordPins:
+    """SHA-256 of the NDJSON scan records of a seeded corpus, 40 graphs on 8 to
+    10 vertices at edge densities 0.15, 0.5 and 0.85, at the two squared distance
+    ratios of the rank_scan benchmark.  A change to the exact arithmetic keeps
+    every record byte for byte."""
+
+    @staticmethod
+    def corpus(seed: int, count: int) -> list[list[list[int]]]:
+        rng, graphs = random.Random(seed), []
+        for _ in range(count):
+            m, p = rng.randint(8, 10), rng.choice([0.15, 0.5, 0.85])
+            adj = [[0] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    adj[i][j] = adj[j][i] = int(rng.random() < p)
+            graphs.append(adj)
+        return graphs
+
+    @pytest.mark.parametrize("b2, n, digest", [
+        ("(7+√33)/4", 7, "4c666dbcaa048fa7b20602df5288a5566990641e4e59039af735ffd4564c8239"),
+        ("3", 8, "7e854a19cf67e17d86c9ba094e633cbe4b9714e70170da1b457d1ecb4599a2ea"),
+    ], ids=["7+sqrt33_over_4", "3"])
+    def test_records(self, b2, n, digest):
+        records = scan_graph_corpus(self.corpus(28, 40), QuadExt.parse(b2), n)
+        text = "".join(json.dumps(r.as_dict()) + "\n" for r in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDelsarteCertificate:

@@ -7,6 +7,8 @@ and without --out, and the error cases of tests/test_cli.py) once per tree,
 with that tree's ``src`` directory on PYTHONPATH and a fresh working
 directory holding the same input files.  Prints one line per invocation
 whose stdout, stderr, written files or exit code differ; exits 1 if any do.
+A call that runs longer than TIMEOUT seconds is stopped and reported with
+the exit code "timeout".
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+TIMEOUT = 30  # seconds per invocation
 G4 = "C? C@ CB C` CJ CF Ck CN Cl C| C~".split()  # the 11 graphs on 4 vertices
 # 10 vertices: the Petersen graph (a 2-distance set in R^4 at squared ratio 2:
 # the sums e_i + e_j in R^5, edges on disjoint pairs), its complement, four
@@ -137,6 +140,8 @@ CASES = [  # (argv, extra environment)
     # 10 vertices: only the Petersen graph passes at n = 4; rank 9 over Q(sqrt(33))
     ("embed --graphs g10.g6 --b2 2 --n 4", {}),
     ("embed --graphs g10.g6 --b2 (7+√33)/4 --n 8 --out scan10.ndjson", {}),
+    # the rank_scan benchmark's rational ratio, 10 vertices at n = 8
+    ("embed --graphs g10.g6 --b2 3 --n 8", {}),
     # error cases of tests/test_cli.py
     ("table --n 10..3 --t 4", {}),
     ("construct lift --base pent.json --n 3 --t 4 --radius 0.5", {}),
@@ -218,6 +223,9 @@ CASES = [  # (argv, extra environment)
     ("embed --graphs entry_0.5.json --json-adjacency --b2 2 --n 1", {}),
     ("embed --graphs entry_str1.json --json-adjacency --b2 2 --n 1", {}),
     ("embed --graphs entry_true.json --json-adjacency --b2 2 --n 1", {}),
+    # the prime radicand 2^61 - 1, refused before any division: trial division
+    # to its square root ran for minutes
+    ("embed --graphs small.g6 --b2 (1+√2305843009213693951)/2 --n 7", {}),
 ]
 
 
@@ -227,8 +235,11 @@ def _run(src: Path, inputs: Path, argv: str, env_extra: dict) -> tuple:
         shutil.copytree(inputs, work)
         env = {k: v for k, v in os.environ.items() if k != "HIDESIGN_OUTDIR"}
         env.update(env_extra, PYTHONPATH=str(src.resolve()))
-        proc = subprocess.run([sys.executable, "-m", "hidesign", *argv.split()], cwd=work,
-                              env=env, capture_output=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hidesign", *argv.split()], cwd=work,
+                                  env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired as exc:
+            proc = subprocess.CompletedProcess(exc.cmd, "timeout", exc.stdout or b"", exc.stderr or b"")
         written = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*"))
                    if p.is_file() and not (inputs / p.relative_to(work)).exists()}
         return proc.returncode, proc.stdout, proc.stderr, written
