@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -101,13 +101,20 @@ class QuadExt:
 
     @classmethod
     def sqrt(cls, x) -> "QuadExt":
-        """Exact square root of a non-negative rational: sqrt(p/q) = sqrt(pq)/q."""
+        """Exact square root of a non-negative rational p/q in lowest terms.
+
+        A square p or q leaves the radicand: sqrt(p)/sqrt(q) is sp/sq, sqrt(p)/sq
+        or sp*sqrt(q)/q, and otherwise sqrt(pq)/q."""
         x = Fraction(x)
         if x < 0:
             raise ValueError("square root of a negative rational")
-        if x == 0:
-            return cls(0)
-        return cls(0, Fraction(1, x.denominator), x.numerator * x.denominator)
+        p, q = x.numerator, x.denominator
+        sp, sq = isqrt(p), isqrt(q)
+        if sq * sq == q:
+            return cls(Fraction(sp, sq)) if sp * sp == p else cls(0, Fraction(1, sq), p)
+        if sp * sp == p:
+            return cls(0, Fraction(sp, q), q)
+        return cls(0, Fraction(1, q), p * q)
 
     @classmethod
     def parse(cls, text: str) -> "QuadExt":
@@ -202,6 +209,11 @@ class QuadExt:
             x, y, d = self._join(other)
         except TypeError:
             return NotImplemented
+        # a rational factor (every 0/1 adjacency entry of L) needs two products, not four
+        if not y.b:
+            return QuadExt._new(x.a * y.a, x.b * y.a, d)
+        if not x.b:
+            return QuadExt._new(x.a * y.a, x.a * y.b, d)
         return QuadExt._new(x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a, d)
 
     __rmul__ = __mul__

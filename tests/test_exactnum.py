@@ -132,8 +132,13 @@ class TestQuadExt:
                 squarefree_decompose(m)
         with pytest.raises(ValueError, match="radicand 2305843009213693951 "):
             QuadExt.parse("(1+√2305843009213693951)/2")
-        with pytest.raises(ValueError, match="radicand 1099511627776 "):
-            QuadExt.sqrt(Fraction(1, 2 ** 40))
+        # a square numerator or denominator leaves the radicand, so only the rest is limited
+        assert QuadExt.sqrt(Fraction(1, 2 ** 40)) == Fraction(1, 1048576)
+        assert QuadExt.sqrt(10 ** 14) == 10 ** 7
+        assert QuadExt.sqrt(Fraction(3, 10 ** 12)) == QuadExt(0, Fraction(1, 10 ** 6), 3)
+        assert QuadExt.sqrt(Fraction(10 ** 12, 3)) == QuadExt(0, Fraction(10 ** 6, 3), 3)
+        with pytest.raises(ValueError, match="radicand 1649267441664 "):
+            QuadExt.sqrt(Fraction(1, 3 * 2 ** 39))
         # the exact tightness path's radicands, 3(n+4) for n < 2^32, stay below 2^35
         assert tight_inner_product(2 ** 32 - 1) == QuadExt.sqrt(Fraction(3, 2 ** 32 + 3))
 
@@ -190,6 +195,11 @@ class TestQuadExtNormalForm:
             results += [y / x, 1 / x]
         for r in results:
             _assert_normal_form(r)
+        # the product's value against the four-product formula, y promoted first
+        z = y if isinstance(y, QuadExt) else QuadExt(y)
+        e = max(x.d, z.d)  # the square-free radicand of x, y or both
+        product = QuadExt(x.a * z.a + e * x.b * z.b, x.a * z.b + x.b * z.a, e)
+        assert (x * y, y * x) == (product, product)
         _assert_normal_form(QuadExt(x.a, x.b, d))
         for r in results + [x]:
             parsed = QuadExt.parse(str(r))
